@@ -17,8 +17,8 @@
 use lunule_bench::perf::to_bench_json;
 use lunule_bench::{default_sim, run_bench, BenchResult, CommonArgs, Protocol};
 use lunule_core::{
-    make_balancer, Access, Balancer, BalancerKind, EpochStats, ExportTask, LunuleBalancer,
-    LunuleConfig, MigrationPlan, OpKind, SubtreeChoice,
+    make_balancer, Access, Balancer, BalancerKind, EpochStats, ExportTask, IfModelConfig,
+    LunuleBalancer, LunuleConfig, MigrationPlan, OpKind, SubtreeChoice,
 };
 use lunule_namespace::{
     dentry_hash, AuthorityCache, Frag, FragKey, FragSet, InodeId, MdsRank, Namespace, SubtreeMap,
@@ -115,6 +115,64 @@ fn balancer_epoch_if(p: Protocol) -> BenchResult {
             let _plan = balancer.on_epoch(&ns, &map, &stats);
         }
         accesses
+    })
+}
+
+/// A full Lunule epoch at scale: 128 ranks over 1 024 directories of 512
+/// files (~5x10^5 inodes), each rank owning eight directories and a
+/// quarter of the ranks running hot, so every `on_epoch` plans dozens of
+/// pairings. Rounds continue one long-lived balancer, so its one-off
+/// per-inode allocations stay in the warm-up, and each round replays the
+/// same four-epoch access cycle; an op is one epoch (a light access batch
+/// plus the plan).
+fn balancer_epoch_plan(p: Protocol) -> BenchResult {
+    const RANKS: usize = 128;
+    const EPOCHS: u64 = 4;
+    let mut ns = Namespace::new();
+    let mut map = SubtreeMap::new(MdsRank(0));
+    let mut targets: Vec<(MdsRank, Vec<InodeId>)> = Vec::new();
+    for d in 0..1024 {
+        let rank = MdsRank((d % RANKS) as u16);
+        let dir = ns.mkdir_total(InodeId::ROOT, &format!("d{d}"));
+        map.set_authority(FragKey::whole(dir), rank);
+        let files: Vec<InodeId> = (0..512)
+            .map(|f| ns.create_file_total(dir, &format!("f{f}"), 0))
+            .collect();
+        targets.push((rank, files[..2].to_vec()));
+    }
+    let mut balancer = LunuleBalancer::new(LunuleConfig {
+        if_model: IfModelConfig {
+            mds_capacity: 500.0,
+            ..IfModelConfig::default()
+        },
+        ..LunuleConfig::default()
+    });
+    let mut epoch = 0u64;
+    run_bench("balancer_epoch_plan", p, || {
+        for _ in 0..EPOCHS {
+            let mut requests = vec![0u64; RANKS];
+            for (i, (rank, files)) in targets.iter().enumerate() {
+                let hot = usize::from(rank.0) < RANKS / 4;
+                for ino in files {
+                    let n = if hot {
+                        200 + (i as u64 * 7 + epoch % EPOCHS) % 50
+                    } else {
+                        5
+                    };
+                    let access = Access {
+                        ino: *ino,
+                        served_by: *rank,
+                        kind: OpKind::Read,
+                    };
+                    balancer.record_access_n(&ns, access, n);
+                    requests[usize::from(rank.0)] += n;
+                }
+            }
+            let stats = EpochStats::new(epoch, 10.0, requests);
+            std::hint::black_box(balancer.on_epoch(&ns, &map, &stats));
+            epoch += 1;
+        }
+        EPOCHS
     })
 }
 
@@ -293,6 +351,7 @@ fn main() {
     let results = vec![
         sim_tick_loop(protocol),
         balancer_epoch_if(protocol),
+        balancer_epoch_plan(protocol),
         frag_split_merge(protocol),
         migration_pipeline(protocol),
         telemetry_off(protocol),

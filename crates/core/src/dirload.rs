@@ -17,8 +17,10 @@
 //! share plus the aggregates of non-delegated child directories inside the
 //! fragment.
 
-use lunule_namespace::{FragKey, InodeId, MdsRank, Namespace, SubtreeMap};
-use lunule_util::convert::usize_to_f64;
+use lunule_namespace::{
+    dentry_hash, Frag, FragKey, FragSet, InodeId, MdsRank, Namespace, SubtreeMap,
+};
+use lunule_util::convert::{u32_to_usize, usize_to_f64};
 
 /// A migration candidate: a dirfrag subtree with its aggregated load.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -33,9 +35,10 @@ pub struct Candidate {
     /// (as opposed to nested directories). The selector uses this to decide
     /// between fragment splitting and descending.
     pub local_load: f64,
-    /// Estimated number of inodes the subtree contains (sizes the transfer).
-    pub inodes: usize,
 }
+
+/// The fragment list of a directory that was never split.
+const UNDIVIDED: [Frag; 1] = [Frag::root()];
 
 /// Computes the candidate list for the whole cluster given a per-directory
 /// local load metric.
@@ -43,99 +46,86 @@ pub struct Candidate {
 /// `local` maps a directory to the load charged to its direct children.
 /// Directories with zero aggregate load are skipped. The returned vector is
 /// unsorted; callers filter by rank and order as their policy requires.
+///
+/// Costs O(directories): the pass walks the namespace's directory index,
+/// never the inode arena.
 pub fn build_candidates(
     ns: &Namespace,
     map: &SubtreeMap,
     local: &impl Fn(InodeId) -> f64,
 ) -> Vec<Candidate> {
-    // Bottom-up pass: our arenas only append, so a parent's index is always
-    // smaller than its children's — iterating indices in reverse visits
-    // children before parents.
-    let n = ns.len();
-    // agg_whole[d] = aggregate load of dir d's *non-delegated* portion,
-    // i.e. what flows up into d's parent candidate.
-    let mut agg_whole = vec![0.0f64; n];
-    let mut inodes_whole = vec![0usize; n];
+    // Bottom-up pass: the index places parents before children, so
+    // iterating slots in reverse visits children before parents.
+    let dirs = ns.dir_index();
+    let ids = dirs.ids();
+    // agg[s] = aggregate load of the directory at slot s's *non-delegated*
+    // portion, i.e. what flows up into its parent's candidate.
+    let mut agg = vec![0.0f64; dirs.len()];
     let mut candidates = Vec::new();
 
-    for idx in (0..n).rev() {
-        let id = InodeId::from_index(idx);
-        let ino = ns.inode(id);
-        if !ino.is_dir() {
-            continue;
-        }
+    for slot in (0..dirs.len()).rev() {
+        let id = ids[slot];
         let local_load = local(id);
-        let n_children = ino.children().len();
-        let frags = ns.frags_of(id);
+        let kids = dirs.child_slots(slot);
+        let frags = ns.frag_set(id).map_or(&UNDIVIDED[..], FragSet::frags);
 
         // Fast path: undivided directory with no frag-level delegation.
         if frags.len() == 1 && frags[0].is_root() {
             let frag = frags[0];
             let mut load = local_load;
-            let mut count = n_children;
-            for &c in ino.children() {
-                if ns.inode(c).is_dir() {
-                    // agg_whole[c] is the child's *non-delegated* portion by
-                    // construction (delegated fragments were excluded when
-                    // the child itself was processed), so it always flows up.
-                    load += agg_whole[c.index()];
-                    count += inodes_whole[c.index()];
-                }
+            for &k in kids {
+                // agg[k] is the child's *non-delegated* portion by
+                // construction (delegated fragments were excluded when
+                // the child itself was processed), so it always flows up.
+                load += agg[u32_to_usize(k)];
             }
-            let rank = map.frag_authority(ns, id, &frag);
             if load > 0.0 {
                 candidates.push(Candidate {
                     key: FragKey { dir: id, frag },
-                    rank,
+                    rank: map.frag_authority(ns, id, &frag),
                     load,
                     local_load,
-                    inodes: count,
                 });
             }
-            let delegated = map.explicit_entry_rank(id, &frag).is_some();
-            if !delegated {
-                agg_whole[idx] = load;
-                inodes_whole[idx] = count;
+            if map.explicit_entry_rank(id, &frag).is_none() {
+                agg[slot] = load;
             }
             continue;
         }
 
         // Fragmented directory: one candidate per live fragment, local load
         // apportioned by the share of children hashing into the fragment.
+        let n_children = ns.inode(id).children().len();
         let mut up_load = 0.0;
-        let mut up_inodes = 0usize;
         for frag in frags {
-            let in_frag = ns.children_in_frag(id, &frag);
             let frac = if n_children == 0 {
                 0.0
             } else {
-                usize_to_f64(in_frag.len()) / usize_to_f64(n_children)
+                usize_to_f64(ns.children_in_frag_count(id, frag)) / usize_to_f64(n_children)
             };
             let mut load = local_load * frac;
-            let mut count = in_frag.len();
-            for c in &in_frag {
-                if ns.inode(*c).is_dir() {
-                    load += agg_whole[c.index()];
-                    count += inodes_whole[c.index()];
+            for &k in kids {
+                let k = u32_to_usize(k);
+                if frag.contains_hash(dentry_hash(ids[k].raw())) {
+                    load += agg[k];
                 }
             }
-            let rank = map.frag_authority(ns, id, &frag);
             if load > 0.0 {
                 candidates.push(Candidate {
-                    key: FragKey { dir: id, frag },
-                    rank,
+                    key: FragKey {
+                        dir: id,
+                        frag: *frag,
+                    },
+                    rank: map.frag_authority(ns, id, frag),
                     load,
                     local_load: local_load * frac,
-                    inodes: count,
                 });
             }
-            if map.explicit_entry_rank(id, &frag).is_none() {
+            if map.explicit_entry_rank(id, frag).is_none() {
                 up_load += load;
-                up_inodes += count;
             }
         }
-        agg_whole[idx] = up_load;
-        inodes_whole[idx] = up_inodes;
+        agg[slot] = up_load;
     }
     candidates
 }
@@ -151,7 +141,6 @@ pub fn candidates_of_rank(all: &[Candidate], rank: MdsRank) -> Vec<Candidate> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lunule_namespace::Frag;
     use std::collections::HashMap;
 
     /// Namespace:
@@ -197,8 +186,6 @@ mod tests {
         assert_eq!(root.local_load, 0.0);
         // Every candidate belongs to rank 0 before any delegation.
         assert!(cands.iter().all(|c| c.rank == MdsRank(0)));
-        // Root candidate spans all inodes except the root dir itself.
-        assert_eq!(root.inodes, ns.len() - 1);
     }
 
     #[test]
@@ -234,12 +221,28 @@ mod tests {
         assert_eq!(frag_cands.len(), 2);
         let total: f64 = frag_cands.iter().map(|c| c.load).sum();
         assert!((total - 100.0).abs() < 1e-9);
-        let inodes: usize = frag_cands.iter().map(|c| c.inodes).sum();
-        assert_eq!(inodes, 100);
         // Shares are proportional to children counts, which are roughly even.
         for c in frag_cands {
             assert!(c.load > 20.0 && c.load < 80.0);
         }
+    }
+
+    #[test]
+    fn load_flows_up_after_moving_a_dir_under_a_younger_one() {
+        // `b` is created after `a`, so once `a` moves under `b` the child
+        // has the smaller arena index. Its load must still reach `b` and
+        // the root.
+        let mut ns = Namespace::new();
+        let a = ns.mkdir(InodeId::ROOT, "a").unwrap();
+        let b = ns.mkdir(InodeId::ROOT, "b").unwrap();
+        ns.rename(a, b, "a").unwrap();
+        let map = SubtreeMap::new(MdsRank(0));
+        let local = move |d: InodeId| if d == a { 10.0 } else { 0.0 };
+        let cands = build_candidates(&ns, &map, &local);
+        let load_of = |dir| cands.iter().find(|c| c.key.dir == dir).map(|c| c.load);
+        assert_eq!(load_of(a), Some(10.0));
+        assert_eq!(load_of(b), Some(10.0));
+        assert_eq!(load_of(InodeId::ROOT), Some(10.0));
     }
 
     #[test]

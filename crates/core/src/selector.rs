@@ -16,7 +16,7 @@
 
 use crate::balancer::SubtreeChoice;
 use crate::dirload::Candidate;
-use lunule_namespace::{FragKey, MdsRank, Namespace, HASH_BITS};
+use lunule_namespace::{FragKey, InodeId, MdsRank, Namespace, HASH_BITS};
 use lunule_util::convert::{f64_to_u64, usize_to_f64, usize_to_u64};
 
 /// Selector tunables.
@@ -152,25 +152,24 @@ fn split_candidate(
             return;
         }
         let (l, r) = cand.key.frag.split_in_two();
-        let total_children = ns.children_in_frag(cand.key.dir, &cand.key.frag).len();
+        let total_children = ns.children_in_frag_count(cand.key.dir, &cand.key.frag);
         if total_children == 0 {
             return;
         }
-        let left_children = ns.children_in_frag(cand.key.dir, &l).len();
+        let left_children = ns.children_in_frag_count(cand.key.dir, &l);
         let lfrac = usize_to_f64(left_children) / usize_to_f64(total_children);
         let halves = [
-            (l, cand.load * lfrac, cand.local_load * lfrac, left_children),
+            (l, cand.load * lfrac, cand.local_load * lfrac),
             (
                 r,
                 cand.load * (1.0 - lfrac),
                 cand.local_load * (1.0 - lfrac),
-                total_children - left_children,
             ),
         ];
         // Recurse on the half closest to the amount from above; if both are
         // below, take the bigger one and continue greedily on the rest.
         let mut best: Option<Candidate> = None;
-        for (frag, load, local, inodes) in halves {
+        for (frag, load, local) in halves {
             if load <= cfg.min_load {
                 continue;
             }
@@ -182,7 +181,6 @@ fn split_candidate(
                 rank: cand.rank,
                 load,
                 local_load: local,
-                inodes,
             };
             let better = match &best {
                 None => true,
@@ -244,23 +242,22 @@ fn pick_preference(load: f64, amount: f64) -> f64 {
 /// precise per-child loads live in the balancer's tracker, but at this depth
 /// an even split is the paper's own fallback).
 fn child_candidates(ns: &Namespace, cand: &Candidate) -> Vec<Candidate> {
-    let kids = ns.children_in_frag(cand.key.dir, &cand.key.frag);
-    let dirs: Vec<_> = kids.into_iter().filter(|c| ns.inode(*c).is_dir()).collect();
+    let frag = cand.key.frag;
+    let dirs: Vec<InodeId> = ns
+        .child_dirs(cand.key.dir)
+        .filter(|d| frag.contains_hash(ns.dentry_hash_of(*d)))
+        .collect();
     if dirs.is_empty() {
         return Vec::new();
     }
     let nested = (cand.load - cand.local_load).max(0.0);
     let share = nested / usize_to_f64(dirs.len());
     dirs.into_iter()
-        .map(|d| {
-            let inodes = ns.walk_subtree(d).count();
-            Candidate {
-                key: FragKey::whole(d),
-                rank: cand.rank,
-                load: share,
-                local_load: share, // unknown split; treat as self-held
-                inodes,
-            }
+        .map(|d| Candidate {
+            key: FragKey::whole(d),
+            rank: cand.rank,
+            load: share,
+            local_load: share, // unknown split; treat as self-held
         })
         .collect()
 }
@@ -281,15 +278,26 @@ fn keys_overlap(ns: &Namespace, a: &FragKey, b: &FragKey) -> bool {
 }
 
 /// True if `descendant` lies inside the subtree `(anc.dir, anc.frag)`.
-fn is_ancestor_of(ns: &Namespace, anc: &FragKey, descendant: lunule_namespace::InodeId) -> bool {
-    let chain = ns.path_chain(descendant);
-    for pair in chain.windows(2) {
-        if pair[0] == anc.dir {
-            let hash = ns.dentry_hash_of(pair[1]);
-            return anc.frag.contains_hash(hash);
+///
+/// Climbs parent links without allocating and gives up once it reaches
+/// `anc.dir`'s depth: a live inode's ancestors are all live with exact
+/// cached depths, so nothing that shallow can sit below `anc.dir`.
+/// Tombstones may carry a stale depth (a rename does not reach detached
+/// slots), so they never cut the climb short.
+fn is_ancestor_of(ns: &Namespace, anc: &FragKey, descendant: InodeId) -> bool {
+    let stop = ns.inode(anc.dir).depth();
+    let mut cur = descendant;
+    loop {
+        let ino = ns.inode(cur);
+        if ino.is_alive() && ino.depth() <= stop {
+            return false;
+        }
+        match ino.parent() {
+            Some(p) if p == anc.dir => return anc.frag.contains_hash(ns.dentry_hash_of(cur)),
+            Some(p) => cur = p,
+            None => return false,
         }
     }
-    false
 }
 
 /// Reusable helper for heat-based policies (Vanilla, GreedySpill,
@@ -356,7 +364,7 @@ pub fn observe_selection(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lunule_namespace::{Frag, InodeId};
+    use lunule_namespace::Frag;
 
     fn cfg() -> SelectorConfig {
         SelectorConfig::default()
@@ -377,7 +385,6 @@ mod tests {
                 rank: MdsRank(0),
                 load: *load,
                 local_load: *load,
-                inodes: 10,
             });
         }
         (ns, cands)
@@ -421,7 +428,6 @@ mod tests {
             rank: MdsRank(0),
             load: 100.0,
             local_load: 100.0,
-            inodes: 200,
         };
         let picks = select_subtrees(&ns, &[cand], 50.0, &cfg());
         assert!(!picks.is_empty());
@@ -450,7 +456,6 @@ mod tests {
             rank: MdsRank(0),
             load: 80.0,
             local_load: 0.0, // all nested
-            inodes: 8,
         };
         let picks = select_subtrees(&ns, &[cand], 40.0, &cfg());
         let total: f64 = picks.iter().map(|p| p.estimated_load).sum();
@@ -479,14 +484,12 @@ mod tests {
                 rank: MdsRank(0),
                 load: 12.0,
                 local_load: 2.0,
-                inodes: 2,
             },
             Candidate {
                 key: FragKey::whole(c),
                 rank: MdsRank(0),
                 load: 10.0,
                 local_load: 10.0,
-                inodes: 1,
             },
         ];
         let picks = select_subtrees(&ns, &cands, 22.0, &cfg());

@@ -108,7 +108,6 @@ fn selector_is_sane() {
                 rank: MdsRank(0),
                 load: *load,
                 local_load: *load,
-                inodes: 8,
             });
         }
         let total: f64 = loads.iter().sum();

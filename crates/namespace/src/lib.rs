@@ -28,6 +28,7 @@
 
 pub mod authcache;
 pub mod builder;
+pub mod dirindex;
 pub mod error;
 pub mod frag;
 pub mod inode;
@@ -40,6 +41,7 @@ pub use authcache::AuthorityCache;
 pub use builder::{
     build_deep_tree, build_flat_dataset, build_private_dirs, BuiltDataset, FlatDataset,
 };
+pub use dirindex::DirIndex;
 pub use error::{NsError, NsResult};
 pub use frag::{dentry_hash, Frag, FragSet, HASH_BITS, HASH_MASK};
 pub use inode::{FileType, Inode, InodeId};

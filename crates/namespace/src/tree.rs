@@ -1,8 +1,10 @@
 //! The namespace arena: a hierarchical tree of directories and files.
 
+use crate::dirindex::DirIndex;
 use crate::error::{NsError, NsResult};
 use crate::frag::{dentry_hash, Frag, FragSet};
 use crate::inode::{FileType, Inode, InodeId};
+use lunule_util::convert::u32_to_usize;
 use std::collections::BTreeMap;
 
 /// An in-memory hierarchical filesystem namespace.
@@ -18,6 +20,9 @@ pub struct Namespace {
     /// Fragment sets for fragmented directories only; an absent entry means
     /// the directory is undivided (implicit `[Frag::root()]`).
     frags: BTreeMap<InodeId, FragSet>,
+    /// Every directory ever created, parents first (derived from the
+    /// arena; rebuilt on decode, never encoded).
+    dirs: DirIndex,
     n_files: usize,
     n_dirs: usize,
 }
@@ -36,6 +41,7 @@ impl Namespace {
                 alive: true,
             }],
             frags: BTreeMap::new(),
+            dirs: DirIndex::root(),
             n_files: 0,
             n_dirs: 1,
         }
@@ -117,7 +123,7 @@ impl Namespace {
     ) -> NsResult<InodeId> {
         let pdepth = {
             let p = self.get(parent)?;
-            if !p.is_dir() {
+            if !p.is_dir() || !p.alive {
                 return Err(NsError::NotADirectory(parent));
             }
             p.depth
@@ -135,7 +141,10 @@ impl Namespace {
         self.arena[parent.index()].children.push(id);
         match ftype {
             FileType::File => self.n_files += 1,
-            FileType::Dir => self.n_dirs += 1,
+            FileType::Dir => {
+                self.n_dirs += 1;
+                self.dirs.push(parent, id);
+            }
         }
         Ok(id)
     }
@@ -177,6 +186,7 @@ impl Namespace {
         let parent = ino.parent.ok_or(NsError::RootIsImmovable)?;
         self.arena[parent.index()].children.retain(|c| *c != id);
         self.arena[id.index()].alive = false;
+        self.dirs.detach(parent, id);
         self.frags.remove(&id);
         self.n_dirs -= 1;
         Ok(())
@@ -220,6 +230,9 @@ impl Namespace {
                 let shifted = i32::from(*d) + delta;
                 *d = u16::try_from(shifted).unwrap_or(0);
             }
+        }
+        if self.arena[id.index()].is_dir() {
+            self.dirs = self.dirs.rebuilt(&self.arena);
         }
         Ok(())
     }
@@ -336,6 +349,33 @@ impl Namespace {
             .collect()
     }
 
+    /// Number of children of `dir` that fall inside `frag`, without
+    /// collecting them.
+    pub fn children_in_frag_count(&self, dir: InodeId, frag: &Frag) -> usize {
+        let children = &self.inode(dir).children;
+        if frag.is_root() {
+            return children.len();
+        }
+        children
+            .iter()
+            .filter(|c| frag.contains_hash(dentry_hash(c.raw())))
+            .count()
+    }
+
+    /// The directory index: every directory ever created, parents first.
+    pub fn dir_index(&self) -> &DirIndex {
+        &self.dirs
+    }
+
+    /// Child directories of `dir`, in `children` order (empty for files).
+    pub fn child_dirs(&self, dir: InodeId) -> impl Iterator<Item = InodeId> + '_ {
+        let slots = match self.dirs.slot_of(dir) {
+            Some(slot) => self.dirs.child_slots(slot),
+            None => &[],
+        };
+        slots.iter().map(|k| self.dirs.ids()[u32_to_usize(*k)])
+    }
+
     /// Iterative pre-order walk of the subtree rooted at `root` (inclusive).
     pub fn walk_subtree(&self, root: InodeId) -> SubtreeIter<'_> {
         SubtreeIter {
@@ -350,20 +390,24 @@ impl Namespace {
     /// CephFS a subtree root dirfrag covers its contents, while the directory
     /// inode stays with the parent subtree.
     pub fn subtree_inode_count(&self, root: InodeId, frag: &Frag) -> usize {
-        self.children_in_frag(root, frag)
-            .into_iter()
-            .map(|child| self.walk_subtree(child).count())
-            .sum()
+        // Each child counts once; a child directory adds its descendants.
+        let nested: usize = self
+            .child_dirs(root)
+            .filter(|d| frag.contains_hash(dentry_hash(d.raw())))
+            .map(|d| self.walk_subtree(d).count() - 1)
+            .sum();
+        self.children_in_frag_count(root, frag) + nested
     }
 
-    /// All live directory ids, in arena order. Used by static pinning
+    /// All live directory ids, parents first (arena order unless a rename
+    /// moved a directory under a younger one). Used by static pinning
     /// (Dir-Hash).
     pub fn all_dirs(&self) -> impl Iterator<Item = InodeId> + '_ {
-        self.arena
+        self.dirs
+            .ids()
             .iter()
-            .enumerate()
-            .filter(|(_, ino)| ino.is_dir() && ino.alive)
-            .map(|(i, _)| InodeId::from_index(i))
+            .copied()
+            .filter(|d| self.inode(*d).alive)
     }
 
     /// Internal consistency check used by tests: every child's parent link
@@ -389,7 +433,7 @@ impl Namespace {
             }
             if let Some(p) = ino.parent {
                 let parent = &self.arena[p.index()];
-                if !parent.is_dir() || !parent.children.contains(&id) {
+                if !parent.is_dir() || !parent.alive || !parent.children.contains(&id) {
                     return false;
                 }
                 if ino.depth != parent.depth + 1 {
@@ -475,20 +519,23 @@ impl Namespace {
                 return Err(invalid());
             }
         }
+        if arena.is_empty()
+            || arena
+                .iter()
+                .flat_map(|ino| ino.children.iter().chain(ino.parent.iter()))
+                .any(|id| id.index() >= arena.len())
+        {
+            return Err(invalid());
+        }
+        let dirs = DirIndex::build(&arena);
         let ns = Namespace {
             arena,
             frags,
+            dirs,
             n_files,
             n_dirs,
         };
-        if ns.arena.is_empty()
-            || ns
-                .arena
-                .iter()
-                .flat_map(|ino| ino.children.iter().chain(ino.parent.iter()))
-                .any(|id| id.index() >= ns.arena.len())
-            || !ns.invariants_hold()
-        {
+        if !ns.invariants_hold() || !ns.dirs.matches(&ns.arena) {
             return Err(invalid());
         }
         Ok(ns)
@@ -732,6 +779,47 @@ mod tests {
         bytes[last] ^= 0x01;
         let mut dec = lunule_util::codec::Decoder::new(&bytes);
         assert!(Namespace::decode(&mut dec).is_err());
+    }
+
+    #[test]
+    fn codec_rejects_links_the_dir_index_cannot_order() {
+        let decode = |ns: &Namespace| {
+            let mut e = lunule_util::codec::Encoder::new();
+            ns.encode(&mut e);
+            let bytes = e.into_bytes();
+            Namespace::decode(&mut lunule_util::codec::Decoder::new(&bytes))
+        };
+        let mut ns = Namespace::new();
+        let a = ns.mkdir(InodeId::ROOT, "a").unwrap();
+        let b = ns.mkdir(InodeId::ROOT, "b").unwrap();
+        let c = ns.mkdir(InodeId::ROOT, "c").unwrap();
+        ns.rmdir(a).unwrap();
+        ns.rmdir(b).unwrap();
+        assert!(decode(&ns).is_ok());
+        // A tombstone listing a live directory that has another parent.
+        let mut claims = ns.clone();
+        claims.arena[a.index()].children.push(c);
+        assert!(decode(&claims).is_err());
+        // Two tombstones parented on each other.
+        let mut cycle = ns.clone();
+        cycle.arena[a.index()].parent = Some(b);
+        cycle.arena[b.index()].parent = Some(a);
+        assert!(decode(&cycle).is_err());
+    }
+
+    #[test]
+    fn removed_dir_accepts_no_new_entries() {
+        let (mut ns, _, _, sub) = tiny();
+        ns.rmdir(sub).unwrap();
+        assert_eq!(
+            ns.create_file(sub, "late", 1).unwrap_err(),
+            NsError::NotADirectory(sub)
+        );
+        assert_eq!(
+            ns.mkdir(sub, "late").unwrap_err(),
+            NsError::NotADirectory(sub)
+        );
+        assert!(ns.invariants_hold());
     }
 
     #[test]

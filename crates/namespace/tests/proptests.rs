@@ -155,3 +155,135 @@ fn dentry_hash_in_range() {
         assert!(dentry_hash(rng.next_u64()) <= HASH_MASK);
     });
 }
+
+/// Random mkdir/create/unlink/rmdir (and, when `renames`, directory
+/// renames) sequences.
+fn random_mutations(rng: &mut DetRng, renames: bool) -> Namespace {
+    let mut ns = Namespace::new();
+    let mut dirs = vec![InodeId::ROOT];
+    let mut files = Vec::new();
+    let kinds = if renames { 5 } else { 4 };
+    for _ in 0..rng.gen_range(1..120) {
+        let d = dirs[rng.gen_range(0..dirs.len())];
+        match rng.gen_range(0..kinds) {
+            0 => dirs.push(ns.mkdir(d, "d").unwrap()),
+            1 => files.push(ns.create_file(d, "f", 1).unwrap()),
+            2 => {
+                if !files.is_empty() {
+                    let i = rng.gen_range(0..files.len());
+                    ns.unlink(files.swap_remove(i)).unwrap();
+                }
+            }
+            3 => {
+                if d != InodeId::ROOT && ns.inode(d).children().is_empty() {
+                    ns.rmdir(d).unwrap();
+                    dirs.retain(|x| *x != d);
+                }
+            }
+            _ => {
+                let target = dirs[rng.gen_range(0..dirs.len())];
+                if d != InodeId::ROOT && !ns.path_chain(target).contains(&d) {
+                    ns.rename(d, target, "moved").unwrap();
+                }
+            }
+        }
+    }
+    ns
+}
+
+/// Checks the directory index against the arena it is derived from.
+fn assert_index_consistent(ns: &Namespace) {
+    let ix = ns.dir_index();
+    let mut indexed = ix.ids().to_vec();
+    indexed.sort();
+    let arena_dirs: Vec<InodeId> = (0..ns.len())
+        .map(InodeId::from_index)
+        .filter(|id| ns.inode(*id).is_dir())
+        .collect();
+    assert_eq!(indexed, arena_dirs, "index holds every directory once");
+    for (slot, dir) in ix.ids().iter().enumerate() {
+        assert_eq!(ix.slot_of(*dir), Some(slot));
+        if let Some(p) = ns.inode(*dir).parent() {
+            assert!(ix.slot_of(p).unwrap() < slot, "parents come first");
+        }
+        let kids: Vec<InodeId> = ix
+            .child_slots(slot)
+            .iter()
+            .map(|k| ix.ids()[*k as usize])
+            .collect();
+        let expected: Vec<InodeId> = ns
+            .inode(*dir)
+            .children()
+            .iter()
+            .copied()
+            .filter(|c| ns.inode(*c).is_dir())
+            .collect();
+        assert_eq!(kids, expected, "child directories in children order");
+        assert_eq!(ns.child_dirs(*dir).collect::<Vec<_>>(), expected);
+    }
+    let live: Vec<InodeId> = ix
+        .ids()
+        .iter()
+        .copied()
+        .filter(|d| ns.inode(*d).is_alive())
+        .collect();
+    assert_eq!(ns.all_dirs().collect::<Vec<_>>(), live);
+    // Derived state: decoding rebuilds exactly the index the live
+    // namespace maintained.
+    let mut e = lunule_util::codec::Encoder::new();
+    ns.encode(&mut e);
+    let bytes = e.into_bytes();
+    let back = Namespace::decode(&mut lunule_util::codec::Decoder::new(&bytes)).unwrap();
+    assert_eq!(back.dir_index().ids(), ix.ids());
+}
+
+/// Without renames the index is the arena's directories in arena order.
+#[test]
+fn dir_index_is_arena_order_without_renames() {
+    propcheck::run(96, |rng| {
+        let ns = random_mutations(rng, false);
+        assert_index_consistent(&ns);
+        let arena_dirs: Vec<InodeId> = (0..ns.len())
+            .map(InodeId::from_index)
+            .filter(|id| ns.inode(*id).is_dir())
+            .collect();
+        assert_eq!(ns.dir_index().ids(), &arena_dirs[..]);
+    });
+}
+
+/// Renames keep the index parents-first, complete, and equal to what a
+/// snapshot restore rebuilds.
+#[test]
+fn dir_index_stays_parents_first_under_renames() {
+    propcheck::run(96, |rng| {
+        let ns = random_mutations(rng, true);
+        assert!(ns.invariants_hold());
+        assert_index_consistent(&ns);
+    });
+}
+
+/// `subtree_inode_count` and `children_in_frag_count` agree with the
+/// collecting walks they replace, on every live fragment.
+#[test]
+fn frag_counts_match_collecting_walks() {
+    propcheck::run(64, |rng| {
+        let mut ns = random_mutations(rng, true);
+        let dirs: Vec<InodeId> = ns.all_dirs().collect();
+        for _ in 0..rng.gen_range(0..6) {
+            let d = dirs[rng.gen_range(0..dirs.len())];
+            let frags = ns.frags_of(d);
+            let f = frags[rng.gen_range(0..frags.len())];
+            if f.bits() < 6 {
+                ns.split_frag(d, &f, 1).unwrap();
+            }
+        }
+        for d in dirs {
+            for f in ns.frags_of(d) {
+                let kids = ns.children_in_frag(d, &f);
+                assert_eq!(ns.children_in_frag_count(d, &f), kids.len());
+                let walked: usize = kids.iter().map(|c| ns.walk_subtree(*c).count()).sum();
+                assert_eq!(ns.subtree_inode_count(d, &f), walked);
+            }
+        }
+    });
+}
