@@ -7,11 +7,7 @@
 //! Usage: `telemetry_check <dir>`
 
 use lunule_telemetry::{parse_events_jsonl, validate_chrome_trace, Event};
-use std::collections::BTreeMap;
 use std::path::Path;
-
-/// One run's shard journals: `(file name, its (t, seq) stamps)` per shard.
-type ShardJournals = Vec<(String, Vec<(u64, u64)>)>;
 
 fn main() {
     let dir = std::env::args().nth(1).unwrap_or_else(|| {
@@ -41,7 +37,6 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
         .collect();
     names.sort();
     let (mut n_events, mut n_trace, mut n_files) = (0usize, 0usize, 0usize);
-    let mut groups: BTreeMap<String, ShardJournals> = BTreeMap::new();
     for path in &names {
         let Some(name) = path.file_name().and_then(|n| n.to_str()) else {
             continue;
@@ -52,20 +47,7 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
             let events = parse_events_jsonl(&text)
                 .map_err(|e| format!("{}: bad event log: {e}", path.display()))?;
             check_fault_events(&events).map_err(|e| format!("{}: {e}", path.display()))?;
-            let (group, shard) = shard_group(name);
-            if shard.is_none() {
-                // A whole-run journal must be contiguous on its own; a
-                // shard journal only carries its shard's slice of each
-                // tick, so contiguity is a group property (checked below).
-                check_stamps(&events).map_err(|e| format!("{}: {e}", path.display()))?;
-            } else {
-                check_stamp_order(&events).map_err(|e| format!("{}: {e}", path.display()))?;
-            }
-            let stamps: Vec<(u64, u64)> = events.iter().map(|r| (r.t, r.seq)).collect();
-            groups
-                .entry(group)
-                .or_default()
-                .push((name.to_string(), stamps));
+            check_stamps(&events).map_err(|e| format!("{}: {e}", path.display()))?;
             n_events += events.len();
             n_files += 1;
         } else if name.ends_with(".trace.json") {
@@ -79,76 +61,7 @@ fn check_dir(dir: &Path) -> Result<(usize, usize), String> {
     if n_files == 0 {
         return Err(format!("no telemetry files found in {}", dir.display()));
     }
-    for (group, files) in &groups {
-        check_shard_interleaving(files).map_err(|e| format!("run '{group}': {e}"))?;
-    }
     Ok((n_events, n_trace))
-}
-
-/// Splits a journal file name into its run group and optional shard index:
-/// `web.shard3.events.jsonl` → `("web", Some(3))`, `web.events.jsonl` →
-/// `("web", None)`. Shard journals of one run are validated together.
-fn shard_group(name: &str) -> (String, Option<usize>) {
-    let Some(stem) = name.strip_suffix(".events.jsonl") else {
-        return (name.to_string(), None);
-    };
-    if let Some((run, shard)) = stem.rsplit_once(".shard") {
-        if let Ok(k) = shard.parse::<usize>() {
-            return (run.to_string(), Some(k));
-        }
-    }
-    (stem.to_string(), None)
-}
-
-/// Weak per-file discipline for shard journals: stamps strictly increase
-/// lexicographically. Gaps are expected — the missing seqs live in sibling
-/// shards — but reordering or duplication within one shard never is.
-fn check_stamp_order(events: &[lunule_telemetry::EventRecord]) -> Result<(), String> {
-    let mut prev: Option<(u64, u64)> = None;
-    for rec in events {
-        if let Some(p) = prev {
-            if (rec.t, rec.seq) <= p {
-                return Err(format!(
-                    "stamp ({}, {}) after {p:?} breaks shard-journal ordering",
-                    rec.t, rec.seq
-                ));
-            }
-        }
-        prev = Some((rec.t, rec.seq));
-    }
-    Ok(())
-}
-
-/// Cross-shard stamp interleaving: the union of `(t, seq)` stamps across
-/// one run's journals must carry no duplicate stamp (two shards claiming
-/// the same slot) and, within each tick, seqs must cover `0..n`
-/// contiguously (a gap means a record was dropped in the shard merge).
-/// The per-journal contiguity check cannot see either failure — each file
-/// looks internally consistent while the run as a whole is not.
-fn check_shard_interleaving(files: &[(String, Vec<(u64, u64)>)]) -> Result<(), String> {
-    let mut per_tick: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-    let mut owner: BTreeMap<(u64, u64), &str> = BTreeMap::new();
-    for (name, stamps) in files {
-        for &(t, seq) in stamps {
-            if let Some(first) = owner.insert((t, seq), name) {
-                return Err(format!(
-                    "stamp ({t}, {seq}) appears in both {first} and {name}"
-                ));
-            }
-            per_tick.entry(t).or_default().push(seq);
-        }
-    }
-    for (t, seqs) in &mut per_tick {
-        seqs.sort_unstable();
-        for (want, have) in seqs.iter().enumerate() {
-            if *have != lunule_util::convert::usize_to_u64(want) {
-                return Err(format!(
-                    "tick {t}: seq {want} missing from every shard (found seq {have})"
-                ));
-            }
-        }
-    }
-    Ok(())
 }
 
 /// Validates the `(t, seq)` stamping discipline the deterministic clock
@@ -220,69 +133,58 @@ fn check_fault_events(events: &[lunule_telemetry::EventRecord]) -> Result<(), St
 mod tests {
     use super::*;
 
-    #[test]
-    fn shard_group_parses_infix() {
-        assert_eq!(shard_group("web.events.jsonl"), ("web".into(), None));
-        assert_eq!(
-            shard_group("web.shard3.events.jsonl"),
-            ("web".into(), Some(3))
-        );
-        assert_eq!(
-            shard_group("a.b.shard10.events.jsonl"),
-            ("a.b".into(), Some(10))
-        );
-        // A non-numeric infix is part of the run name, not a shard index.
-        assert_eq!(
-            shard_group("web.shardx.events.jsonl"),
-            ("web.shardx".into(), None)
-        );
+    /// A scratch directory under the system temp dir, unique per test.
+    fn scratch_dir(tag: &str) -> std::path::PathBuf {
+        let dir =
+            std::env::temp_dir().join(format!("telemetry_check-{tag}-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        dir
     }
 
+    /// Every journal gets the full stamp discipline, whatever its name: a
+    /// file named like a per-shard slice (`run.shard0.events.jsonl`) with
+    /// a seq gap is a broken journal, not a slice to be validated with its
+    /// siblings.
     #[test]
-    fn interleaving_accepts_a_clean_split() {
-        // Tick 0's seqs 0..4 split across two shards; tick 1 lives in one.
-        let files = vec![
-            (
-                "a.shard0.events.jsonl".to_string(),
-                vec![(0, 0), (0, 2), (1, 0)],
-            ),
-            ("a.shard1.events.jsonl".to_string(), vec![(0, 1), (0, 3)]),
-        ];
-        assert!(check_shard_interleaving(&files).is_ok());
-    }
-
-    #[test]
-    fn interleaving_rejects_duplicate_stamps() {
-        let files = vec![
-            ("a.shard0.events.jsonl".to_string(), vec![(0, 0), (0, 1)]),
-            ("a.shard1.events.jsonl".to_string(), vec![(0, 1)]),
-        ];
-        let err = check_shard_interleaving(&files).unwrap_err();
-        assert!(err.contains("appears in both"), "{err}");
-    }
-
-    #[test]
-    fn interleaving_rejects_a_dropped_record() {
-        // Seq 1 of tick 0 is in no shard: the merge dropped it. Each file
-        // passes its own ordering check — only the union reveals the hole.
-        let files = vec![
-            ("a.shard0.events.jsonl".to_string(), vec![(0, 0)]),
-            ("a.shard1.events.jsonl".to_string(), vec![(0, 2)]),
-        ];
-        let err = check_shard_interleaving(&files).unwrap_err();
-        assert!(err.contains("missing from every shard"), "{err}");
-    }
-
-    #[test]
-    fn shard_order_check_allows_gaps_but_not_reorders() {
-        use lunule_telemetry::{Event, EventRecord};
+    fn shard_named_journal_with_a_seq_gap_is_rejected() {
+        use lunule_telemetry::{events_jsonl, EventRecord, Snapshot};
         let rec = |t, seq| EventRecord {
             t,
             seq,
             event: Event::TickStart,
         };
-        assert!(check_stamp_order(&[rec(0, 0), rec(0, 5), rec(2, 1)]).is_ok());
-        assert!(check_stamp_order(&[rec(0, 5), rec(0, 0)]).is_err());
-        assert!(check_stamp_order(&[rec(1, 0), rec(1, 0)]).is_err());
+        let journal = |events| {
+            events_jsonl(&Snapshot {
+                events,
+                ..Snapshot::default()
+            })
+        };
+        let dir = scratch_dir("gap");
+        let path = dir.join("run.shard0.events.jsonl");
+        std::fs::write(&path, journal(vec![rec(0, 0), rec(0, 2), rec(1, 0)])).unwrap();
+        let err = check_dir(&dir).unwrap_err();
+        assert!(err.contains("breaks (t, seq) monotonicity"), "{err}");
+        std::fs::write(&path, journal(vec![rec(0, 0), rec(0, 1), rec(1, 0)])).unwrap();
+        assert_eq!(check_dir(&dir), Ok((3, 0)));
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn stamps_must_be_contiguous_within_a_tick() {
+        use lunule_telemetry::EventRecord;
+        let rec = |t, seq| EventRecord {
+            t,
+            seq,
+            event: Event::TickStart,
+        };
+        assert!(check_stamps(&[rec(0, 0), rec(0, 1), rec(2, 0)]).is_ok());
+        assert!(check_stamps(&[rec(0, 0), rec(0, 2)]).is_err(), "gap");
+        assert!(check_stamps(&[rec(1, 0), rec(1, 0)]).is_err(), "duplicate");
+        assert!(check_stamps(&[rec(1, 0), rec(0, 1)]).is_err(), "backwards");
+        assert!(
+            check_stamps(&[rec(0, 0), rec(1, 1)]).is_err(),
+            "tick starts past 0"
+        );
     }
 }

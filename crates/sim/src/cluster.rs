@@ -1,16 +1,15 @@
 //! The simulation driver: tick loop, request routing, balancer epochs.
 
-use crate::client::{routing_anchor, Client};
+use crate::client::Client;
 use crate::cohort::{Cohort, CohortSet, Interval};
-use crate::config::{ClientModel, SimConfig};
-use crate::datapath::DataPath;
+use crate::config::SimConfig;
 use crate::latency::LatencyHistogram;
 use crate::mds::MdsState;
 use crate::migration::MigrationCounters;
 use crate::migration::Migrator;
-use crate::request::{MetaOp, OpStream};
+use crate::request::OpStream;
 use crate::results::{EpochRecord, RunResult};
-use lunule_core::{Access, Balancer, EpochStats, OpKind};
+use lunule_core::{Balancer, EpochStats};
 use lunule_faults::FaultKind;
 use lunule_namespace::{FragKey, MdsRank, Namespace, SubtreeMap};
 use lunule_snapshot::{Snapshot, SnapshotError};
@@ -33,19 +32,15 @@ pub struct Simulation {
     pub(crate) ns: Namespace,
     pub(crate) map: SubtreeMap,
     pub(crate) mds: Vec<MdsState>,
-    /// Per-client state under [`ClientModel::Legacy`]; empty otherwise.
-    clients: Vec<Client>,
-    /// Aggregated client state under [`ClientModel::Cohort`] (the
-    /// default); `None` under the legacy model. Wrapped in `Option` so the
-    /// cohort engine can temporarily move the set out while it borrows the
-    /// rest of the simulation mutably.
-    pub(crate) cohorts: Option<CohortSet>,
+    /// The client population, aggregated into cohorts. The issue engine
+    /// moves the set out (`std::mem::take`) for the length of a tick's
+    /// rounds while it borrows the rest of the simulation mutably.
+    pub(crate) cohorts: CohortSet,
     /// Worker pool for the cohort engine's parallel resolve phase (and any
     /// future sharded work). Worker count never affects results.
     pub(crate) pool: lunule_util::par::WorkerPool,
     pub(crate) migrator: Migrator,
     pub(crate) balancer: Box<dyn Balancer>,
-    pub(crate) datapath: Option<DataPath>,
     pub(crate) latency: LatencyHistogram,
     /// Resident (authoritative) inodes per rank, maintained incrementally
     /// on creates, removes, migrations, and drains.
@@ -77,9 +72,6 @@ pub struct Simulation {
     /// offsets to the fresh journal's counts to reconcile against the
     /// migrator's cumulative counters. `(0, 0, 0)` for an uninterrupted run.
     journal_base: (u64, u64, u64),
-    /// Per-client stall flags reused across ticks so the issue loop does
-    /// not allocate every simulated second.
-    stall_scratch: Vec<bool>,
     /// Per-rank route-cost accumulator reused across ops; a traversal
     /// touches a handful of ranks, and this buffer used to be allocated
     /// once per issued op.
@@ -127,10 +119,6 @@ impl Simulation {
     /// per-tick work scale with the number of *distinct* client states,
     /// not the member count. Group streams with `count > 1` must be
     /// cloneable ([`OpStream::try_clone_box`]) so cohorts can split.
-    ///
-    /// Under [`ClientModel::Legacy`] the groups are expanded to individual
-    /// clients (clones of the group stream), which is exactly what the
-    /// differential-equivalence battery compares against.
     pub fn new_grouped(
         cfg: SimConfig,
         ns: Namespace,
@@ -159,52 +147,23 @@ impl Simulation {
             .into_iter()
             .map(usize_to_u64)
             .collect();
-        let new_client = |id: usize, s: Box<dyn OpStream>| {
-            let mut c = Client::new(id, s, 0);
-            c.cache_cap = cfg.client_cache_cap;
-            c.data_window = cfg.data_path.map(|dp| dp.client_window).unwrap_or(0);
-            c
-        };
-        let (clients, cohorts): (Vec<Client>, Option<CohortSet>) = match cfg.client_model {
-            ClientModel::Cohort => {
-                let mut at = 0usize;
-                let groups: Vec<(Client, u64)> = groups
-                    .into_iter()
-                    .map(|(s, count)| {
-                        assert!(count >= 1, "client group must have at least one member");
-                        assert!(
-                            count == 1 || s.try_clone_box().is_some(),
-                            "multi-member client group needs a cloneable op stream"
-                        );
-                        let c = new_client(at, s);
-                        at += u64_to_usize(count);
-                        (c, count)
-                    })
-                    .collect();
-                (Vec::new(), Some(CohortSet::new(groups)))
-            }
-            ClientModel::Legacy => {
-                let mut clients = Vec::new();
-                for (s, count) in groups {
-                    assert!(count >= 1, "client group must have at least one member");
-                    assert!(
-                        count == 1 || s.try_clone_box().is_some(),
-                        "multi-member client group needs a cloneable op stream"
-                    );
-                    // Clones for the first count-1 members, the group's own
-                    // stream for the last, so singleton groups never clone.
-                    for _ in 1..count {
-                        if let Some(st) = s.try_clone_box() {
-                            let id = clients.len();
-                            clients.push(new_client(id, st));
-                        }
-                    }
-                    let id = clients.len();
-                    clients.push(new_client(id, s));
-                }
-                (clients, None)
-            }
-        };
+        let mut at = 0usize;
+        let groups: Vec<(Client, u64)> = groups
+            .into_iter()
+            .map(|(s, count)| {
+                assert!(count >= 1, "client group must have at least one member");
+                assert!(
+                    count == 1 || s.try_clone_box().is_some(),
+                    "multi-member client group needs a cloneable op stream"
+                );
+                let mut c = Client::new(at, s, 0);
+                c.cache_cap = cfg.client_cache_cap;
+                c.data_window = cfg.data_path.map(|dp| dp.client_window).unwrap_or(0);
+                at += u64_to_usize(count);
+                (c, count)
+            })
+            .collect();
+        let cohorts = CohortSet::new(groups);
         let mut migrator = Migrator::new(
             cfg.migration_bw,
             cfg.migration_freeze_secs,
@@ -228,10 +187,8 @@ impl Simulation {
                 })
                 .collect(),
             migrator,
-            datapath: cfg.data_path.map(|dp| DataPath::new(dp.osd_bandwidth)),
             latency: LatencyHistogram::new(),
             resident,
-            clients,
             cohorts,
             pool: lunule_util::par::WorkerPool::new(cfg.jobs),
             balancer,
@@ -247,7 +204,6 @@ impl Simulation {
             limp: vec![None; cfg.n_mds],
             report_loss_until: vec![0; cfg.n_mds],
             journal_base: (0, 0, 0),
-            stall_scratch: Vec::new(),
             costs_scratch: Vec::new(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::new(cfg.n_mds),
@@ -317,22 +273,21 @@ impl Simulation {
         // plan's coverage of the inode arena. The checker re-derives these
         // from plain data rather than trusting `CohortSet::check_invariants`
         // — an independent implementation is the point of the audit.
-        if let Some(set) = &self.cohorts {
-            let counts: Vec<u64> = set.cohorts.iter().map(|c| c.count).collect();
-            let ids: Vec<usize> = set.cohorts.iter().map(|c| c.state.id).collect();
-            let intervals: Vec<(usize, usize, usize)> = set
-                .intervals
-                .iter()
-                .map(|iv| (iv.start, iv.len, iv.cohort))
-                .collect();
-            self.checker
-                .check_cohort_conservation(&counts, None, usize_to_u64(set.n_clients()));
-            self.checker
-                .check_cohort_partition(&intervals, &counts, &ids, set.n_clients());
-            let plan = lunule_namespace::ShardPlan::new(self.ns.len(), self.pool.jobs());
-            let ranges: Vec<(usize, usize)> = plan.ranges().collect();
-            self.checker.check_shard_coverage(&ranges, self.ns.len());
-        }
+        let set = &self.cohorts;
+        let counts: Vec<u64> = set.cohorts.iter().map(|c| c.count).collect();
+        let ids: Vec<usize> = set.cohorts.iter().map(|c| c.state.id).collect();
+        let intervals: Vec<(usize, usize, usize)> = set
+            .intervals
+            .iter()
+            .map(|iv| (iv.start, iv.len, iv.cohort))
+            .collect();
+        self.checker
+            .check_cohort_conservation(&counts, None, usize_to_u64(set.n_clients()));
+        self.checker
+            .check_cohort_partition(&intervals, &counts, &ids, set.n_clients());
+        let plan = lunule_namespace::ShardPlan::new(self.ns.len(), self.pool.jobs());
+        let ranges: Vec<(usize, usize)> = plan.ranges().collect();
+        self.checker.check_shard_coverage(&ranges, self.ns.len());
         self.checker.assert_clean();
     }
 
@@ -473,12 +428,8 @@ impl Simulation {
         // A dead rank cannot even answer redirects: evict it from every
         // client's cache so the next access pays a fresh traversal instead
         // of stalling against a zero-capacity rank forever.
-        for c in &mut self.clients {
-            c.forget_rank(rank);
-        }
-        if let Some(set) = &mut self.cohorts {
-            set.for_each_state_mut(|st, _| st.forget_rank(rank));
-        }
+        self.cohorts
+            .for_each_state_mut(|st, _| st.forget_rank(rank));
         // Failover rewrote authorities wholesale; recompute residency.
         self.resident = self
             .map
@@ -609,41 +560,18 @@ impl Simulation {
         let start = self.tick;
         let cap = self.cfg.client_cache_cap;
         let window = self.cfg.data_path.map(|dp| dp.client_window).unwrap_or(0);
-        let new_client = |id: usize, s: Box<dyn OpStream>| {
-            let mut c = Client::new(id, s, start);
+        for s in streams {
+            let mut c = Client::new(self.cohorts.n_clients(), s, start);
             c.cache_cap = cap;
             c.data_window = window;
-            c
-        };
-        match &mut self.cohorts {
-            Some(set) => {
-                for s in streams {
-                    let id = set.n_clients();
-                    set.append_group(new_client(id, s), 1);
-                }
-            }
-            None => {
-                let base = self.clients.len();
-                self.clients.extend(
-                    streams
-                        .into_iter()
-                        .enumerate()
-                        .map(|(i, s)| new_client(base + i, s)),
-                );
-            }
+            self.cohorts.append_group(c, 1);
         }
         self.telemetry.emit(|| Event::ClientsAdd { count });
     }
 
     /// True once every client has drained its stream and data debt.
     pub fn all_done(&self) -> bool {
-        match &self.cohorts {
-            Some(set) => set.all_done(),
-            None => self
-                .clients
-                .iter()
-                .all(|c| c.finished && c.data_pending == 0),
-        }
+        self.cohorts.all_done()
     }
 
     /// Runs until `deadline` (simulated seconds) or until all clients are
@@ -710,31 +638,21 @@ impl Simulation {
         applied
     }
 
-    /// Number of clients attached (including finished ones). Under the
-    /// cohort model this counts *members*, not cohorts.
+    /// Number of clients attached (including finished ones): cohort
+    /// *members*, not cohorts.
     pub fn n_clients(&self) -> usize {
-        match &self.cohorts {
-            Some(set) => set.n_clients(),
-            None => self.clients.len(),
-        }
+        self.cohorts.n_clients()
     }
 
-    /// Number of distinct client flows currently materialised: cohorts
-    /// under the cohort model (the quantity per-tick work scales with),
-    /// individual clients under the legacy model.
+    /// Number of distinct client flows currently materialised: the cohort
+    /// count, which is what per-tick work scales with.
     pub fn n_flows(&self) -> usize {
-        match &self.cohorts {
-            Some(set) => set.n_cohorts(),
-            None => self.clients.len(),
-        }
+        self.cohorts.n_cohorts()
     }
 
     /// Total metadata operations completed by all clients so far.
     pub fn total_ops(&self) -> u64 {
-        match &self.cohorts {
-            Some(set) => set.total_ops(),
-            None => self.clients.iter().map(|c| c.ops_done).sum(),
-        }
+        self.cohorts.total_ops()
     }
 
     /// The configuration this simulation was built with.
@@ -757,20 +675,7 @@ impl Simulation {
             balancer: self.balancer.name().to_string(),
             per_mds_requests_total: self.mds.iter().map(|m| m.served_total).collect(),
             per_mds_forwards_total: self.mds.iter().map(|m| m.forwards_total).collect(),
-            client_completion_secs: match &self.cohorts {
-                Some(set) => set.completion_expanded(),
-                None => self
-                    .clients
-                    .iter()
-                    .map(|c| {
-                        if c.finished && c.data_pending == 0 {
-                            c.finished_at
-                        } else {
-                            None
-                        }
-                    })
-                    .collect(),
-            },
+            client_completion_secs: self.cohorts.completion_expanded(),
             duration_secs: self.tick,
             total_ops: self.total_ops(),
             final_inodes: self.ns.len(),
@@ -832,13 +737,9 @@ impl Simulation {
         // handed to the importer at commit (no per-client redirect storm).
         // Resident accounting moves with the subtree.
         for job in self.migrator.completed_last_step().to_vec() {
-            for c in &mut self.clients {
-                c.apply_migration(&self.ns, &job.subtree, job.to);
-            }
-            if let Some(set) = &mut self.cohorts {
-                let ns = &self.ns;
-                set.for_each_state_mut(|st, _| st.apply_migration(ns, &job.subtree, job.to));
-            }
+            let ns = &self.ns;
+            self.cohorts
+                .for_each_state_mut(|st, _| st.apply_migration(ns, &job.subtree, job.to));
             if let Some(r) = self.resident.get_mut(job.from.index()) {
                 *r = r.saturating_sub(job.total_inodes);
             }
@@ -848,54 +749,14 @@ impl Simulation {
         }
 
         // 2. Data-path progress frees blocked clients.
-        if self.cohorts.is_some() {
-            if let Some(dp) = &self.datapath {
-                let bandwidth = dp.bandwidth();
-                self.cohort_datapath_step(bandwidth);
-            }
-            self.cohort_tick_reset(tick);
-        } else {
-            if let Some(dp) = &self.datapath {
-                dp.step(&mut self.clients);
-            }
-            for c in &mut self.clients {
-                c.issued_this_tick = 0;
-                if c.finished && c.data_pending == 0 && c.finished_at.is_none() {
-                    c.finished_at = Some(tick);
-                }
-            }
+        if let Some(dp) = self.cfg.data_path {
+            crate::cohort_engine::cohort_datapath_step(&mut self.cohorts, dp.osd_bandwidth);
         }
+        self.cohort_tick_reset(tick);
 
         // 3. Closed-loop issue rounds: one op per client per round, rotating
         // the starting client for fairness, until nobody can make progress.
-        if self.cohorts.is_some() {
-            self.cohort_issue_rounds(tick);
-        } else {
-            let n_clients = self.clients.len();
-            if n_clients > 0 {
-                let offset = u64_to_usize(tick) % n_clients;
-                self.stall_scratch.clear();
-                self.stall_scratch.resize(n_clients, false);
-                loop {
-                    let mut progressed = false;
-                    for i in 0..n_clients {
-                        let idx = (offset + i) % n_clients;
-                        if self.stall_scratch[idx] {
-                            continue;
-                        }
-                        match self.try_issue(idx, tick) {
-                            IssueOutcome::Served => progressed = true,
-                            IssueOutcome::Stalled | IssueOutcome::Inactive => {
-                                self.stall_scratch[idx] = true;
-                            }
-                        }
-                    }
-                    if !progressed {
-                        break;
-                    }
-                }
-            }
-        }
+        self.cohort_issue_rounds(tick);
 
         // The tick's served-op metrics reach telemetry as one batch, so
         // every between-tick reader sees fully settled totals.
@@ -908,134 +769,6 @@ impl Simulation {
         }
         #[cfg(feature = "strict-invariants")]
         self.audit_tick();
-    }
-
-    /// Attempts to issue one op for client `idx`.
-    fn try_issue(&mut self, idx: usize, tick: u64) -> IssueOutcome {
-        let client = &mut self.clients[idx];
-        if !client.can_issue(tick, self.cfg.client_rate) {
-            if client.finished && client.data_pending == 0 && client.finished_at.is_none() {
-                client.finished_at = Some(tick);
-            }
-            return IssueOutcome::Inactive;
-        }
-        let Some(op) = client.peek_op(&self.ns, tick) else {
-            if client.data_pending == 0 && client.finished_at.is_none() {
-                client.finished_at = Some(tick);
-            }
-            return IssueOutcome::Inactive;
-        };
-
-        // Frozen subtrees stall their ops for the commit window.
-        if self.migrator.is_frozen(&self.ns, op.anchor()) {
-            return IssueOutcome::Stalled;
-        }
-
-        let (dir, hash) = routing_anchor(&self.ns, &op);
-        let (route, _hit) =
-            client.resolve_with(&self.ns, &self.map, &mut self.auth_cache, dir, hash);
-
-        // Budget check across the whole route, aggregated per rank — a
-        // traversal can cross the same rank more than once (e.g. 0→1→0→2),
-        // so per-hop checks alone would over-commit a nearly drained MDS.
-        let target_idx = route.target.index();
-        if target_idx >= self.mds.len() {
-            return IssueOutcome::Stalled;
-        }
-        self.costs_scratch.clear();
-        let add_cost = |costs: &mut Vec<(usize, f64)>, idx: usize| match costs
-            .iter_mut()
-            .find(|(i, _)| *i == idx)
-        {
-            Some((_, c)) => *c += 1.0,
-            None => costs.push((idx, 1.0)),
-        };
-        for r in &route.forwards {
-            if r.index() >= self.mds.len() {
-                return IssueOutcome::Stalled;
-            }
-            add_cost(&mut self.costs_scratch, r.index());
-        }
-        add_cost(&mut self.costs_scratch, target_idx);
-        if self
-            .costs_scratch
-            .iter()
-            .any(|(idx, cost)| self.mds[*idx].budget < *cost)
-        {
-            return IssueOutcome::Stalled;
-        }
-        for (idx, cost) in &self.costs_scratch {
-            let ok = self.mds[*idx].try_consume(*cost);
-            debug_assert!(ok, "budget pre-checked per rank");
-        }
-        for r in &route.forwards {
-            self.mds[r.index()].record_forward();
-        }
-        self.mds[target_idx].record_served();
-
-        // Execute the op.
-        let (ino, kind, data_bytes) = match op {
-            MetaOp::Read(ino) => {
-                let size = self.ns.inode(ino).size();
-                (ino, OpKind::Read, size)
-            }
-            MetaOp::Create { parent, size } => {
-                let name = format!("c{}_{}", client.id, client.ops_done);
-                match self.ns.create_file(parent, &name, size) {
-                    Ok(id) => {
-                        client.notify_created(id);
-                        (id, OpKind::Create, size)
-                    }
-                    // Streams only create under live directories; a failure
-                    // means the op went stale. Account it against the parent
-                    // as a plain read so the stream still advances.
-                    Err(e) => {
-                        debug_assert!(false, "stale create under {parent:?}: {e}");
-                        (parent, OpKind::Read, 0)
-                    }
-                }
-            }
-            MetaOp::Remove(ino) => (ino, OpKind::Remove, 0),
-        };
-        let stall_ticks = client.consume_op(tick);
-        self.latency.record(stall_ticks);
-        if self.telemetry.is_enabled() {
-            self.op_ledger.record(route.target.index(), stall_ticks, 1);
-        }
-        client.learn_route(&self.ns, dir, hash, route.target);
-        if self.datapath.is_some() && data_bytes > 0 {
-            client.data_pending += data_bytes;
-        }
-        // Record the access while the inode is still resolvable, then apply
-        // the unlink for removes. Resident metadata follows creates/removes.
-        self.balancer.record_access(
-            &self.ns,
-            Access {
-                ino,
-                served_by: route.target,
-                kind,
-            },
-        );
-        match kind {
-            OpKind::Create => {
-                if let Some(r) = self.resident.get_mut(route.target.index()) {
-                    *r += 1;
-                }
-            }
-            OpKind::Remove => {
-                // Streams only remove live files; swallow a stale remove
-                // rather than abort the whole simulation on a workload bug.
-                let removed = self.ns.unlink(ino);
-                debug_assert!(removed.is_ok(), "stale remove of {ino:?}");
-                if removed.is_ok() {
-                    if let Some(r) = self.resident.get_mut(route.target.index()) {
-                        *r = r.saturating_sub(1);
-                    }
-                }
-            }
-            OpKind::Read => {}
-        }
-        IssueOutcome::Served
     }
 
     /// Epoch boundary bookkeeping: record the epoch, consult the balancer,
@@ -1056,14 +789,7 @@ impl Simulation {
         let record = EpochRecord {
             migrated_inodes_cum: self.migrator.counters().migrated_inodes,
             forwards_cum: self.mds.iter().map(|m| m.forwards_total).sum(),
-            active_clients: match &self.cohorts {
-                Some(set) => set.active_members(),
-                None => self
-                    .clients
-                    .iter()
-                    .filter(|c| !c.finished || c.data_pending > 0)
-                    .count(),
-            },
+            active_clients: self.cohorts.active_members(),
             inflight_migrations: u64_to_usize(self.migrator.in_flight()),
             per_mds_resident_inodes: self.resident.clone(),
             ..EpochRecord::from_stats(&stats, self.tick, self.cfg.mds_capacity)
@@ -1082,12 +808,11 @@ impl Simulation {
             }
             self.telemetry
                 .gauge_set("clients.active", 0, usize_to_f64(record.active_clients));
-            let evictions: u64 = match &self.cohorts {
-                Some(set) => set.evictions_total(),
-                None => self.clients.iter().map(|c| c.cache_evictions).sum(),
-            };
-            self.telemetry
-                .gauge_set("clients.cache_evictions", 0, u64_to_f64(evictions));
+            self.telemetry.gauge_set(
+                "clients.cache_evictions",
+                0,
+                u64_to_f64(self.cohorts.evictions_total()),
+            );
         }
         let (record_if, record_iops) = (record.imbalance_factor, record.total_iops);
         self.epochs.push(record);
@@ -1122,9 +847,7 @@ impl Simulation {
         // debt) merge back into one flow. Epoch close is the natural seam:
         // it bounds within-tick divergence growth without scanning every
         // tick, and runs at a point where no issue round is in flight.
-        if let Some(set) = &mut self.cohorts {
-            set.merge_equal_states();
-        }
+        self.cohorts.merge_equal_states();
         #[cfg(feature = "strict-invariants")]
         {
             let iops = self
@@ -1173,20 +896,9 @@ impl Simulation {
         e.put_seq(&self.resident, |e, r| e.put_u64(*r));
         snap.push_section("mds", e.into_bytes());
 
-        // Client state: one section per model, so a cross-model restore
-        // fails on a missing section even before the digest check would.
-        match &self.cohorts {
-            Some(set) => {
-                let mut e = Encoder::new();
-                encode_cohorts(set, &mut e);
-                snap.push_section("cohorts", e.into_bytes());
-            }
-            None => {
-                let mut e = Encoder::new();
-                e.put_seq(&self.clients, |e, c| c.encode(e));
-                snap.push_section("clients", e.into_bytes());
-            }
-        }
+        let mut e = Encoder::new();
+        encode_cohorts(&self.cohorts, &mut e);
+        snap.push_section("cohorts", e.into_bytes());
 
         let mut e = Encoder::new();
         self.migrator.save_state(&mut e);
@@ -1309,34 +1021,9 @@ impl Simulation {
             });
         }
 
-        // Client state: the model is part of the config digest, so the
-        // matching section is guaranteed present for an honest snapshot —
-        // a tampered one fails on the missing section. Under the cohort
-        // model `streams` carries one stream per *group*, not per member.
-        let (clients, cohorts) = match cfg.client_model {
-            ClientModel::Legacy => {
-                let clients = decode_section(snap, "clients", |d| {
-                    let n = d.get_usize("clients")?;
-                    if n != streams.len() {
-                        return Err(CodecError::Invalid { what: "clients" });
-                    }
-                    let mut clients = Vec::with_capacity(n);
-                    for (i, stream) in streams.into_iter().enumerate() {
-                        let c = Client::decode(d, stream)?;
-                        if c.id != i {
-                            return Err(CodecError::Invalid { what: "client.id" });
-                        }
-                        clients.push(c);
-                    }
-                    Ok(clients)
-                })?;
-                (clients, None)
-            }
-            ClientModel::Cohort => {
-                let set = decode_section(snap, "cohorts", |d| decode_cohorts(d, streams))?;
-                (Vec::new(), Some(set))
-            }
-        };
+        // Client state: `streams` carries one stream per *group*, not per
+        // member.
+        let cohorts = decode_section(snap, "cohorts", |d| decode_cohorts(d, streams))?;
 
         let mut migrator = Migrator::new(
             cfg.migration_bw,
@@ -1424,10 +1111,8 @@ impl Simulation {
         Ok(Simulation {
             mds,
             migrator,
-            datapath: cfg.data_path.map(|dp| DataPath::new(dp.osd_bandwidth)),
             latency,
             resident,
-            clients,
             cohorts,
             pool: lunule_util::par::WorkerPool::new(cfg.jobs),
             balancer,
@@ -1443,7 +1128,6 @@ impl Simulation {
             limp,
             report_loss_until,
             journal_base,
-            stall_scratch: Vec::new(),
             costs_scratch: Vec::new(),
             auth_cache: lunule_namespace::AuthorityCache::new(),
             op_ledger: crate::tick_ledger::TickOpLedger::new(cfg.n_mds),
@@ -1589,47 +1273,34 @@ fn decode_cohorts(
     Ok(set)
 }
 
-/// Reads the number of client *members* recorded in a snapshot — from the
-/// `clients` section (legacy model) or the `cohorts` header (cohort
-/// model). A session that attached clients mid-run snapshots more than it
-/// started with, so restoring callers size their stream split from here
-/// rather than from their initial-client configuration.
+/// Reads the `(groups, members)` header of a snapshot's `cohorts` section.
+fn cohorts_header(snap: &Snapshot) -> Result<(usize, usize), SnapshotError> {
+    let mut d = Decoder::new(snap.require_section("cohorts")?);
+    (|| {
+        Ok((
+            d.get_usize("cohorts.groups")?,
+            d.get_usize("cohorts.members")?,
+        ))
+    })()
+    .map_err(|source| SnapshotError::Decode {
+        section: "cohorts",
+        source,
+    })
+}
+
+/// Reads the number of client *members* recorded in a snapshot's
+/// `cohorts` header. A session that attached clients mid-run snapshots
+/// more than it started with, so restoring callers size their stream split
+/// from here rather than from their initial-client configuration.
 pub fn snapshot_client_count(snap: &Snapshot) -> Result<usize, SnapshotError> {
-    if let Some(payload) = snap.section("cohorts") {
-        let mut d = Decoder::new(payload);
-        return (|| {
-            let _groups = d.get_usize("cohorts.groups")?;
-            d.get_usize("cohorts.members")
-        })()
-        .map_err(|source| SnapshotError::Decode {
-            section: "cohorts",
-            source,
-        });
-    }
-    let payload = snap.require_section("clients")?;
-    let mut d = Decoder::new(payload);
-    d.get_usize("clients")
-        .map_err(|source| SnapshotError::Decode {
-            section: "clients",
-            source,
-        })
+    cohorts_header(snap).map(|(_, members)| members)
 }
 
 /// Reads the number of op streams [`Simulation::restore`] expects for a
-/// snapshot: the client count under the legacy model, the *group* count
-/// under the cohort model (one stream per group, however many cohorts the
-/// group has split into).
+/// snapshot: the *group* count (one stream per group, however many cohorts
+/// the group has split into).
 pub fn snapshot_stream_count(snap: &Snapshot) -> Result<usize, SnapshotError> {
-    if let Some(payload) = snap.section("cohorts") {
-        let mut d = Decoder::new(payload);
-        return d
-            .get_usize("cohorts.groups")
-            .map_err(|source| SnapshotError::Decode {
-                section: "cohorts",
-                source,
-            });
-    }
-    snapshot_client_count(snap)
+    cohorts_header(snap).map(|(groups, _)| groups)
 }
 
 /// Runs a section decoder, mapping codec failures (including trailing
@@ -1647,17 +1318,11 @@ fn decode_section<T>(
     Ok(value)
 }
 
-enum IssueOutcome {
-    Served,
-    Stalled,
-    Inactive,
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::request::FixedStream;
-    use lunule_core::{make_balancer, BalancerKind, NoopBalancer};
+    use crate::request::{FixedStream, MetaOp};
+    use lunule_core::{make_balancer, Access, BalancerKind, NoopBalancer};
     use lunule_namespace::InodeId;
 
     fn tiny_cfg() -> SimConfig {

@@ -10,9 +10,9 @@
 //! re-converge byte-for-byte.
 //!
 //! Membership is tracked as a sorted list of disjoint client-id intervals
-//! that exactly partitions `0..n_clients`; the legacy engine's rotated
-//! per-client issue order becomes a rotated walk over these intervals, so
-//! the cohort engine can reproduce the legacy effect order exactly (see
+//! that exactly partitions `0..n_clients`; the rotated per-client issue
+//! order becomes a rotated walk over these intervals, so the cohort engine
+//! can reproduce the per-client effect order exactly (see
 //! `cohort_engine`).
 //!
 //! Invariants (audited under `strict-invariants`):
@@ -57,6 +57,8 @@ pub struct Cohort {
 }
 
 /// The whole client population, as cohorts plus an id-interval partition.
+/// The default is the empty population.
+#[derive(Default)]
 pub struct CohortSet {
     pub(crate) cohorts: Vec<Cohort>,
     /// Sorted by `start`; disjoint; exactly covers `0..n_clients`.

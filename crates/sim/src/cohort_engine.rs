@@ -1,18 +1,18 @@
-//! The cohort issue engine: the legacy per-client tick loop, re-derived
-//! over aggregated cohorts.
+//! The cohort issue engine: the per-client tick loop, run over aggregated
+//! cohorts.
 //!
-//! The legacy engine's tick is a sequence of *rounds*: each round walks
-//! every client once in rotation order (starting at `tick % n_clients`),
-//! serving at most one op per client, until a round serves nothing. The
-//! cohort engine reproduces that walk exactly, but a run of consecutive
-//! identical clients advances as one batch:
+//! The client semantics are defined per client. A tick is a sequence of
+//! *rounds*: each round walks every client once in rotation order
+//! (starting at `tick % n_clients`), serving at most one op per client,
+//! until a round serves nothing. The engine reproduces that walk exactly,
+//! but a run of consecutive identical clients advances as one batch:
 //!
 //! 1. **Classify** (sequential, cohort-local): per round, each live cohort
 //!    is inactive (rate-capped, finished, data-blocked), frozen behind a
 //!    migration commit window, a batchable read, or a mutating op. Multi-
 //!    member cohorts holding a create/remove explode into singletons first
 //!    — mutations change the namespace mid-round, so they serve one at a
-//!    time exactly like legacy clients.
+//!    time, one client after another.
 //! 2. **Resolve** (parallel, pure): read/remove routes are looked up
 //!    against the immutable namespace + subtree map, grouped by the
 //!    [`ShardPlan`] shard owning the anchor directory and fanned out over
@@ -20,22 +20,24 @@
 //!    `--jobs 1` and `--jobs N` are byte-identical.
 //! 3. **Serve** (sequential, effect-ordered): runs are walked in rotation
 //!    order; each run drains MDS budgets member-by-member (f64 budget
-//!    arithmetic in exactly the legacy order) and applies the world
+//!    arithmetic in exactly the per-client order) and applies the world
 //!    effects — forwards, served counters, latency/telemetry, balancer
 //!    accesses — as batched equivalents at the run's position.
 //!
 //! After a round, each cohort that served advances its shared state once
 //! (stream cursor, route cache, data debt). A cohort that only partially
 //! served splits: the stalled members keep the pre-round state in a new
-//! cohort that sits out the rest of the tick, mirroring the legacy
-//! per-client stall flags.
+//! cohort that sits out the rest of the tick, mirroring a per-client stall
+//! flag.
 //!
-//! Equivalence to the legacy engine holds member-for-member because within
-//! a round (a) identical clients resolve identical routes against state
-//! that cannot change until the round ends, (b) budgets only ever decrease
-//! within a tick, so the first member of a run to fail a budget check
-//! decides for every member after it, and (c) every batched recorder
-//! (`record_n`-style) is an exact aggregate of its sequential form.
+//! Equivalence to the per-client walk holds member-for-member because
+//! within a round (a) identical clients resolve identical routes against
+//! state that cannot change until the round ends, (b) budgets only ever
+//! decrease within a tick, so the first member of a run to fail a budget
+//! check decides for every member after it, and (c) every batched recorder
+//! (`record_n`-style) is an exact aggregate of its sequential form. The
+//! equivalence battery (`tests/cohort_equivalence.rs`) pins this against
+//! golden digests recorded from a one-struct-per-client engine.
 
 use crate::client::{resolve_route_cached, resolve_route_primed, routing_anchor, Client, Route};
 use crate::cluster::Simulation;
@@ -92,25 +94,21 @@ struct RoundScratch {
 }
 
 impl Simulation {
-    /// Cohort-model issue phase for one tick: rounds until no member
-    /// serves, exactly like the legacy `stall_scratch` loop.
+    /// Issue phase for one tick: rounds until no member serves.
     pub(crate) fn cohort_issue_rounds(&mut self, tick: u64) {
-        let Some(mut set) = self.cohorts.take() else {
-            return;
-        };
-        let n = set.n_clients();
+        let n = self.cohorts.n_clients();
         if n == 0 {
-            self.cohorts = Some(set);
             return;
         }
+        let mut set = std::mem::take(&mut self.cohorts);
         let offset = u64_to_usize(tick) % n;
-        // Per-tick stall flags, indexed by cohort: the cohort analogue of
-        // the legacy per-client `stall_scratch`. Transient scratch — ticks
-        // never snapshot mid-round, so these are never persisted.
+        // Per-tick stall flags, indexed by cohort: a client that stalls
+        // sits out the rest of the tick. Transient scratch — ticks never
+        // snapshot mid-round, so these are never persisted.
         let mut tick_stalled = vec![false; set.cohorts.len()];
         let mut scratch = RoundScratch::default();
         while self.cohort_round(&mut set, &mut tick_stalled, offset, tick, &mut scratch) {}
-        self.cohorts = Some(set);
+        self.cohorts = set;
     }
 
     /// One issue round. Returns whether any member was served.
@@ -126,7 +124,7 @@ impl Simulation {
 
         // Phase 1: classify cohorts in rotation (first-encounter) order.
         // Classification only touches cohort-local state, so handling each
-        // cohort once at its first member's position matches the legacy
+        // cohort once at its first member's position matches the
         // per-member checks exactly.
         let mut worklist = std::mem::take(&mut scratch.worklist);
         worklist.clear();
@@ -260,7 +258,8 @@ impl Simulation {
             }
         }
 
-        // Phase 3: serve runs in rotation order with legacy effect order.
+        // Phase 3: serve runs in rotation order with per-client effect
+        // order.
         let n_cohorts = set.cohorts.len();
         let mut served_count = std::mem::take(&mut scratch.served_count);
         served_count.clear();
@@ -341,7 +340,7 @@ impl Simulation {
                     }
                     if !costs_built[c] {
                         // Aggregate per-rank route cost, forwards first
-                        // then target — the legacy accumulation order. The
+                        // then target — the per-client accumulation order. The
                         // per-cohort buffer keeps its capacity round over
                         // round.
                         costs_built[c] = true;
@@ -360,7 +359,7 @@ impl Simulation {
                     }
                     let costs = &costs_of[c];
                     // Member-by-member budget drain: identical f64
-                    // operations in identical order to the legacy loop.
+                    // operations in identical order to the per-client walk.
                     let mut s = 0usize;
                     for _ in 0..len {
                         if costs.iter().any(|&(i, cost)| self.mds[i].budget < cost) {
@@ -405,7 +404,7 @@ impl Simulation {
                     }
                     // Record the access while the inode is still
                     // resolvable, then apply the unlink for removes —
-                    // same order as the legacy serve.
+                    // same order as a single client's serve.
                     self.balancer.record_access_n(
                         &self.ns,
                         Access {
@@ -473,7 +472,7 @@ impl Simulation {
             let st = &mut set.cohorts[c].state;
             st.consume_op(tick);
             st.learn_route(&self.ns, dir, hash, target);
-            if self.datapath.is_some() && bytes_of[c] > 0 {
+            if self.cfg.data_path.is_some() && bytes_of[c] > 0 {
                 st.data_pending += bytes_of[c];
             }
         }
@@ -493,9 +492,9 @@ impl Simulation {
         progressed
     }
 
-    /// Serves one create for a singleton cohort — the legacy `try_issue`
-    /// serve path verbatim, minus the checks phase 1 already ran this
-    /// round. Returns whether the op was served.
+    /// Serves one create for a singleton cohort: resolve, budget check
+    /// across the whole route, then the create itself, minus the checks
+    /// phase 1 already ran this round. Returns whether the op was served.
     fn serve_singleton_create(&mut self, st: &mut Client, tick: u64) -> bool {
         let Some((op, _)) = st.pending else {
             debug_assert!(false, "create-classified cohort lost its pending op");
@@ -561,7 +560,7 @@ impl Simulation {
             self.op_ledger.record(route.target.index(), stall_ticks, 1);
         }
         st.learn_route(&self.ns, dir, hash, route.target);
-        if self.datapath.is_some() && data_bytes > 0 {
+        if self.cfg.data_path.is_some() && data_bytes > 0 {
             st.data_pending += data_bytes;
         }
         self.balancer.record_access(
@@ -580,144 +579,151 @@ impl Simulation {
         true
     }
 
-    /// Cohort-model data-path tick: the legacy max-min fair-share loop
-    /// over per-client data debt, run over id-ordered member segments.
-    /// Members of one cohort all owe the same debt, so a segment advances
-    /// as a unit until the budget runs out inside it — at which point the
-    /// segment splits (full share / partial / nothing), and cohorts whose
-    /// members ended the tick with different debts split to match.
-    pub(crate) fn cohort_datapath_step(&mut self, bandwidth: u64) {
-        let Some(mut set) = self.cohorts.take() else {
-            return;
-        };
-        // Working segments in id order; `pending` starts as the owning
-        // cohort's shared debt and diverges as the budget cuts across.
-        let mut segs: Vec<(usize, usize, usize, u64)> = set
-            .intervals()
+    /// Per-tick client reset plus completion stamping, over cohorts.
+    pub(crate) fn cohort_tick_reset(&mut self, tick: u64) {
+        self.cohorts.for_each_state_mut(|st, _| {
+            st.issued_this_tick = 0;
+            if st.finished && st.data_pending == 0 && st.finished_at.is_none() {
+                st.finished_at = Some(tick);
+            }
+        });
+    }
+}
+
+/// One tick of the data path (the OSD cluster), for end-to-end runs.
+///
+/// Fig. 8 of the paper measures job completion time with data access
+/// enabled. The effect it demonstrates is dilution: the data path adds
+/// a per-op cost that is independent of metadata balance, so workloads
+/// whose time is dominated by data transfer benefit less from a better
+/// balancer. A shared bandwidth pool reproduces exactly that: after
+/// each successful metadata op, the client owes `file size` bytes, and
+/// all indebted clients share the pool's `bandwidth` bytes per tick
+/// fairly until paid off.
+///
+/// Fairness is max-min within one tick: every indebted client gets an
+/// equal share (at least one byte), clients in id order, until the
+/// budget runs out; what a client did not need is re-divided among the
+/// clients still in debt. The loop runs over id-ordered member
+/// segments. Members of one cohort all owe the same debt, so a segment
+/// advances as a unit until the budget runs out inside it — at which
+/// point the segment splits (full share / partial / nothing), and
+/// cohorts whose members ended the tick with different debts split to
+/// match.
+pub(crate) fn cohort_datapath_step(set: &mut CohortSet, bandwidth: u64) {
+    // Working segments in id order; `pending` starts as the owning
+    // cohort's shared debt and diverges as the budget cuts across.
+    let mut segs: Vec<(usize, usize, usize, u64)> = set
+        .intervals()
+        .iter()
+        .map(|iv| {
+            (
+                iv.start,
+                iv.len,
+                iv.cohort,
+                set.cohorts[iv.cohort].state.data_pending,
+            )
+        })
+        .collect();
+    let mut budget = bandwidth;
+    loop {
+        let waiting: u64 = segs
             .iter()
-            .map(|iv| {
-                (
-                    iv.start,
-                    iv.len,
-                    iv.cohort,
-                    set.cohorts[iv.cohort].state.data_pending,
-                )
-            })
-            .collect();
-        let mut budget = bandwidth;
-        loop {
-            let waiting: u64 = segs
-                .iter()
-                .filter(|s| s.3 > 0)
-                .map(|s| usize_to_u64(s.1))
-                .sum();
-            if waiting == 0 || budget == 0 {
-                break;
-            }
-            let share = (budget / waiting).max(1);
-            let mut spent = 0u64;
-            let mut i = 0;
-            while i < segs.len() {
-                let (start, len, cohort, pending) = segs[i];
-                if pending == 0 {
-                    i += 1;
-                    continue;
-                }
-                let t = share.min(pending);
-                let avail = budget - spent;
-                // Members each take `min(t, budget left)`: the first q
-                // take the full t, at most one takes a partial remainder,
-                // the rest take nothing — the legacy per-member loop.
-                let q = u64_to_usize((avail / t).min(usize_to_u64(len)));
-                if q == len {
-                    segs[i].3 -= t;
-                    spent += usize_to_u64(len) * t;
-                    if spent >= budget {
-                        break;
-                    }
-                    i += 1;
-                    continue;
-                }
-                let partial = avail - usize_to_u64(q) * t;
-                let mut pieces: Vec<(usize, usize, usize, u64)> = Vec::with_capacity(3);
-                if q > 0 {
-                    pieces.push((start, q, cohort, pending - t));
-                }
-                if partial > 0 {
-                    pieces.push((start + q, 1, cohort, pending - partial));
-                }
-                let rest = start + q + usize::from(partial > 0);
-                if rest < start + len {
-                    pieces.push((rest, start + len - rest, cohort, pending));
-                }
-                segs.splice(i..=i, pieces);
-                spent = budget;
-                break;
-            }
-            if spent == 0 {
-                break;
-            }
-            budget -= spent;
+            .filter(|s| s.3 > 0)
+            .map(|s| usize_to_u64(s.1))
+            .sum();
+        if waiting == 0 || budget == 0 {
+            break;
         }
-        // Apply: cohorts whose members ended with distinct debts split,
-        // one cohort per distinct value in id order of first occurrence
-        // (the first group contains the lowest member, so the original
-        // cohort keeps its canonical id).
-        let n_cohorts = set.cohorts.len();
-        let mut by_cohort: Vec<Vec<(usize, usize, u64)>> = vec![Vec::new(); n_cohorts];
-        for &(start, len, cohort, pending) in &segs {
-            by_cohort[cohort].push((start, len, pending));
-        }
-        for (c, parts) in by_cohort.iter().enumerate() {
-            if parts.is_empty() {
+        let share = (budget / waiting).max(1);
+        let mut spent = 0u64;
+        let mut i = 0;
+        while i < segs.len() {
+            let (start, len, cohort, pending) = segs[i];
+            if pending == 0 {
+                i += 1;
                 continue;
             }
-            let mut values: Vec<u64> = Vec::new();
-            for &(_, _, p) in parts {
-                if !values.contains(&p) {
-                    values.push(p);
+            let t = share.min(pending);
+            let avail = budget - spent;
+            // Members each take `min(t, budget left)`: the first q
+            // take the full t, at most one takes a partial remainder,
+            // the rest take nothing — the per-client loop, batched.
+            let q = u64_to_usize((avail / t).min(usize_to_u64(len)));
+            if q == len {
+                segs[i].3 -= t;
+                spent += usize_to_u64(len) * t;
+                if spent >= budget {
+                    break;
                 }
+                i += 1;
+                continue;
             }
-            set.cohorts[c].state.data_pending = values[0];
-            for &v in values.iter().skip(1) {
-                let origin = set.cohorts[c].origin;
-                let clone = set.cohorts[c].state.try_clone();
-                assert!(
-                    clone.is_some(),
-                    "multi-member cohort stream must be cloneable"
-                );
-                let Some(mut clone) = clone else { continue };
-                clone.data_pending = v;
-                let slot = set.cohorts.len();
-                set.cohorts.push(Cohort {
-                    state: clone,
-                    origin,
-                    count: 0,
-                });
-                for &(start, len, p) in parts {
-                    if p == v {
-                        set.carve(start, len, slot);
-                    }
-                }
-                set.refresh_canonical_id(slot);
+            let partial = avail - usize_to_u64(q) * t;
+            let mut pieces: Vec<(usize, usize, usize, u64)> = Vec::with_capacity(3);
+            if q > 0 {
+                pieces.push((start, q, cohort, pending - t));
             }
-            if values.len() > 1 {
-                set.refresh_canonical_id(c);
+            if partial > 0 {
+                pieces.push((start + q, 1, cohort, pending - partial));
+            }
+            let rest = start + q + usize::from(partial > 0);
+            if rest < start + len {
+                pieces.push((rest, start + len - rest, cohort, pending));
+            }
+            segs.splice(i..=i, pieces);
+            spent = budget;
+            break;
+        }
+        if spent == 0 {
+            break;
+        }
+        budget -= spent;
+    }
+    // Apply: cohorts whose members ended with distinct debts split,
+    // one cohort per distinct value in id order of first occurrence
+    // (the first group contains the lowest member, so the original
+    // cohort keeps its canonical id).
+    let n_cohorts = set.cohorts.len();
+    let mut by_cohort: Vec<Vec<(usize, usize, u64)>> = vec![Vec::new(); n_cohorts];
+    for &(start, len, cohort, pending) in &segs {
+        by_cohort[cohort].push((start, len, pending));
+    }
+    for (c, parts) in by_cohort.iter().enumerate() {
+        if parts.is_empty() {
+            continue;
+        }
+        let mut values: Vec<u64> = Vec::new();
+        for &(_, _, p) in parts {
+            if !values.contains(&p) {
+                values.push(p);
             }
         }
-        self.cohorts = Some(set);
-    }
-
-    /// Per-tick client reset + completion stamping (legacy step 2), over
-    /// cohorts.
-    pub(crate) fn cohort_tick_reset(&mut self, tick: u64) {
-        if let Some(set) = &mut self.cohorts {
-            set.for_each_state_mut(|st, _| {
-                st.issued_this_tick = 0;
-                if st.finished && st.data_pending == 0 && st.finished_at.is_none() {
-                    st.finished_at = Some(tick);
-                }
+        set.cohorts[c].state.data_pending = values[0];
+        for &v in values.iter().skip(1) {
+            let origin = set.cohorts[c].origin;
+            let clone = set.cohorts[c].state.try_clone();
+            assert!(
+                clone.is_some(),
+                "multi-member cohort stream must be cloneable"
+            );
+            let Some(mut clone) = clone else { continue };
+            clone.data_pending = v;
+            let slot = set.cohorts.len();
+            set.cohorts.push(Cohort {
+                state: clone,
+                origin,
+                count: 0,
             });
+            for &(start, len, p) in parts {
+                if p == v {
+                    set.carve(start, len, slot);
+                }
+            }
+            set.refresh_canonical_id(slot);
+        }
+        if values.len() > 1 {
+            set.refresh_canonical_id(c);
         }
     }
 }
@@ -787,6 +793,127 @@ mod tests {
                 assert_eq!(m, (offset + k) % 10, "offset {offset}");
             }
         }
+    }
+
+    /// A population with one group per `(members, debt)` pair: every
+    /// member of a group starts out owing the group's debt.
+    fn indebted(groups: &[(u64, u64)]) -> CohortSet {
+        let counts: Vec<u64> = groups.iter().map(|&(n, _)| n).collect();
+        let mut set = set_of(&counts);
+        for (c, &(_, debt)) in groups.iter().enumerate() {
+            set.cohorts[c].state.data_pending = debt;
+        }
+        set
+    }
+
+    /// Every member's outstanding debt, in id order.
+    fn debts(set: &CohortSet) -> Vec<u64> {
+        let mut out = vec![0; set.n_clients()];
+        for iv in set.intervals() {
+            let debt = set.cohorts[iv.cohort].state.data_pending;
+            out[iv.start..iv.end()].fill(debt);
+        }
+        out
+    }
+
+    /// The per-client fair-share loop, one debt per client: the reference
+    /// semantics [`cohort_datapath_step`] batches over cohorts.
+    fn per_client_step(debts: &mut [u64], bandwidth: u64) {
+        let mut budget = bandwidth;
+        loop {
+            let waiting: Vec<usize> = (0..debts.len()).filter(|&i| debts[i] > 0).collect();
+            if waiting.is_empty() || budget == 0 {
+                return;
+            }
+            let share = (budget / usize_to_u64(waiting.len())).max(1);
+            let mut spent = 0u64;
+            for i in waiting {
+                let take = share.min(debts[i]).min(budget - spent);
+                debts[i] -= take;
+                spent += take;
+                if spent >= budget {
+                    break;
+                }
+            }
+            if spent == 0 {
+                return;
+            }
+            budget -= spent;
+        }
+    }
+
+    #[test]
+    fn fair_share_split() {
+        let mut set = indebted(&[(1, 500), (1, 500)]);
+        cohort_datapath_step(&mut set, 100);
+        assert_eq!(debts(&set), vec![450, 450]);
+    }
+
+    #[test]
+    fn leftover_redistributes() {
+        // Client 0 only needs 10; the remaining 90 goes to client 1.
+        let mut set = indebted(&[(1, 10), (1, 500)]);
+        cohort_datapath_step(&mut set, 100);
+        assert_eq!(debts(&set), vec![0, 410]);
+    }
+
+    #[test]
+    fn drains_exactly() {
+        let mut set = indebted(&[(1, 30)]);
+        cohort_datapath_step(&mut set, 1000);
+        assert_eq!(debts(&set), vec![0]);
+    }
+
+    #[test]
+    fn idle_pool_no_waiting_clients() {
+        let mut set = indebted(&[(1, 0)]);
+        cohort_datapath_step(&mut set, 1000);
+        assert_eq!(debts(&set), vec![0]);
+    }
+
+    /// Four members owing 100 against 250 bytes: a full round of 62 each
+    /// leaves 2 bytes, which the next round hands to the two lowest ids.
+    /// The cohort splits where the budget ran out, and each half keeps its
+    /// lowest member as canonical id.
+    #[test]
+    fn multi_member_cohort_splits_where_the_budget_runs_out() {
+        let mut set = indebted(&[(4, 100)]);
+        cohort_datapath_step(&mut set, 250);
+        assert_eq!(debts(&set), vec![37, 37, 38, 38]);
+        assert_eq!(set.n_cohorts(), 2);
+        assert_eq!(set.intervals().len(), 2);
+        let ids: Vec<usize> = set
+            .intervals()
+            .iter()
+            .map(|iv| set.cohorts[iv.cohort].state.id)
+            .collect();
+        assert_eq!(ids, vec![0, 2]);
+        assert_eq!(set.check_invariants(), Ok(()));
+    }
+
+    /// Random populations of multi-member cohorts pay off exactly the
+    /// per-client debts the per-client loop leaves, tick after tick.
+    #[test]
+    fn prop_cohort_step_equals_the_per_client_loop() {
+        lunule_util::propcheck::run(200, |rng| {
+            let groups: Vec<(u64, u64)> = (0..rng.gen_range(1..5))
+                .map(|_| {
+                    (
+                        usize_to_u64(rng.gen_range(1..6)),
+                        usize_to_u64(rng.gen_range(0..300)),
+                    )
+                })
+                .collect();
+            let mut set = indebted(&groups);
+            let mut reference = debts(&set);
+            for _ in 0..4 {
+                let bandwidth = usize_to_u64(rng.gen_range(1..400));
+                cohort_datapath_step(&mut set, bandwidth);
+                per_client_step(&mut reference, bandwidth);
+                assert_eq!(debts(&set), reference, "groups {groups:?}");
+                assert_eq!(set.check_invariants(), Ok(()));
+            }
+        });
     }
 
     #[test]

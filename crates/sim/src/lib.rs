@@ -19,7 +19,6 @@ pub mod cluster;
 pub mod cohort;
 mod cohort_engine;
 pub mod config;
-pub mod datapath;
 pub mod latency;
 pub mod mds;
 pub mod migration;
@@ -32,8 +31,7 @@ pub use cohort::{Cohort, CohortSet, Interval};
 // Fault-injection types, re-exported so simulator users need not depend on
 // `lunule-faults` directly to build a `SimConfig::faults` schedule.
 pub use cluster::{snapshot_client_count, snapshot_stream_count, Simulation};
-pub use config::{ClientModel, DataPathConfig, SimConfig};
-pub use datapath::DataPath;
+pub use config::{DataPathConfig, SimConfig};
 pub use latency::LatencyHistogram;
 pub use lunule_faults::{seeded, ChaosProfile, FaultEvent, FaultKind, FaultPlan, FaultSchedule};
 pub use mds::MdsState;

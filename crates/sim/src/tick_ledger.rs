@@ -1,10 +1,10 @@
 //! Per-tick operation ledger: the hot-path op metrics accumulated in
 //! plain dense columns and flushed to telemetry once per tick.
 //!
-//! The serve loop used to push two telemetry records per served op
-//! (`client.stall_ticks`, `ops.served`) — even through the lock-free
-//! ring that is the dominant share of the enabled/disabled gap in the
-//! `telemetry_on`/`telemetry_off` benches. Both metrics are associative
+//! Pushing two telemetry records per served op (`client.stall_ticks`,
+//! `ops.served`), each a lock of the collector mutex, would dominate the
+//! enabled/disabled gap in the `telemetry_on`/`telemetry_off` benches.
+//! Both metrics are associative
 //! (counter deltas add; `histogram_record_n(v, a + b)` is defined as
 //! identical to recording `a` then `b` samples), and the registry keys
 //! them in `BTreeMap`s, so the order records reach the collector within

@@ -231,13 +231,13 @@ fn tampered_sections_are_refused_with_typed_errors() {
 
 // --- Cohort-model snapshot coverage -------------------------------------
 //
-// The default engine aggregates identical clients into cohorts, and its
-// snapshots carry a "cohorts" section instead of per-client "clients"
-// entries. The batteries below pin that section the same three ways the
-// legacy one is pinned: it is present (so the generic tamper loop above
-// provably exercises it), it survives snapshot→restore→snapshot without a
-// byte of drift for multi-member groups, and structurally-wrong restores
-// (wrong stream arity, tampered payload) are refused with typed errors.
+// The engine aggregates identical clients into cohorts, and its snapshots
+// carry the client population as one "cohorts" section. The batteries
+// below pin that section three ways: it is present (so the generic tamper
+// loop above provably exercises it), it survives snapshot→restore→snapshot
+// without a byte of drift for multi-member groups, and structurally-wrong
+// restores (wrong stream arity, tampered payload, a per-client "clients"
+// section in its place) are refused with typed errors.
 
 fn grouped_streams(files: usize) -> Vec<(Box<dyn OpStream>, u64)> {
     let (_, ids) = fixture(files);
@@ -269,7 +269,7 @@ fn grouped_restore_streams(files: usize) -> Vec<Box<dyn OpStream>> {
 }
 
 /// A grouped population's snapshot carries the "cohorts" section (and no
-/// legacy "clients" section), and its member/stream counts read back
+/// per-client "clients" section), and its member/stream counts read back
 /// through the sizing accessors the daemon restores with.
 #[test]
 fn grouped_snapshot_carries_the_cohort_section() {
@@ -280,7 +280,7 @@ fn grouped_snapshot_carries_the_cohort_section() {
     assert!(names.contains(&"cohorts"), "roster: {names:?}");
     assert!(
         !names.contains(&"clients"),
-        "cohort snapshots must not also carry a legacy clients section"
+        "cohort snapshots must not also carry a per-client clients section"
     );
     assert_eq!(lunule_sim::snapshot_client_count(&snap).unwrap(), 8);
     assert_eq!(lunule_sim::snapshot_stream_count(&snap).unwrap(), 2);
@@ -395,4 +395,44 @@ fn grouped_cohort_section_tampering_is_refused() {
         ),
         "missing cohorts section must be refused"
     );
+}
+
+/// A snapshot whose client population is a per-client "clients" section
+/// (client count first, then one record per client) instead of "cohorts"
+/// is refused by restore and by both sizing accessors, each with a typed
+/// error naming the missing "cohorts" section — never a panic, and never a
+/// count read from the "clients" payload.
+#[test]
+fn per_client_section_without_cohorts_is_refused() {
+    let mut sim = grouped_build(base_cfg(), 120);
+    sim.run_until(9);
+    let mut snap = sim.snapshot();
+    let i = snap
+        .sections
+        .iter()
+        .position(|s| s.name == "cohorts")
+        .expect("cohorts section present");
+    let cohorts = snap.sections.remove(i).payload;
+    let mut e = lunule_util::codec::Encoder::new();
+    e.put_usize(8);
+    let mut payload = e.into_bytes();
+    payload.extend_from_slice(&cohorts);
+    snap.push_section("clients", payload);
+
+    let names_cohorts =
+        |e: &SnapshotError| matches!(e, SnapshotError::MissingSection { section: "cohorts" });
+    let err = lunule_sim::snapshot_client_count(&snap).unwrap_err();
+    assert!(names_cohorts(&err), "client count: {err}");
+    let err = lunule_sim::snapshot_stream_count(&snap).unwrap_err();
+    assert!(names_cohorts(&err), "stream count: {err}");
+    let err = match Simulation::restore(
+        base_cfg(),
+        make_balancer(BalancerKind::Lunule, base_cfg().mds_capacity),
+        grouped_restore_streams(120),
+        &snap,
+    ) {
+        Ok(_) => panic!("a snapshot without cohorts must be refused"),
+        Err(e) => e,
+    };
+    assert!(names_cohorts(&err), "restore: {err}");
 }

@@ -33,7 +33,6 @@
 pub mod event;
 pub mod export;
 pub mod metrics;
-mod ring;
 
 pub use event::{Event, EventRecord};
 pub use export::{
@@ -65,42 +64,21 @@ struct Collector {
     metrics: MetricsRegistry,
 }
 
-impl Collector {
-    /// Applies one drained hot-path record to the registry. Gauges stamp
-    /// with the current clock — correct because every clock mutation
-    /// drains first, so the clock here is the clock at push time.
-    fn apply_hot(&mut self, name: &'static str, rec: ring::HotRecord) {
-        match rec.kind {
-            ring::HotKind::Counter => self.metrics.counter_add(name, rec.label, rec.value),
-            ring::HotKind::Histogram => self.metrics.histogram_record_n(name, rec.value, rec.count),
-            ring::HotKind::Gauge => {
-                let tick = self.clock;
-                self.metrics
-                    .gauge_set(name, rec.label, tick, f64::from_bits(rec.value));
-            }
-        }
-    }
-}
-
 /// A shared handle onto one run's telemetry collector.
 ///
 /// Clones are cheap and all point at the same collector, so the simulator,
 /// balancer, and migrator can each hold one. A disabled handle (the
 /// default) turns every method into a branch on `None`.
 ///
-/// Hot-path metric calls (`counter_add*`, `histogram_record*`,
-/// `gauge_set`) go through a lock-free SPSC ring instead of the collector
-/// mutex; the rings are drained — in shard order, coalescing equal-key
-/// records exactly — at every clock change and before every read, so
-/// observable state is indistinguishable from the direct path.
+/// Every call takes the collector mutex. The per-op records, the only ones
+/// frequent enough for that to matter, reach it already batched: the
+/// simulator folds a tick's served ops into one [`Telemetry::record_batch`]
+/// call (its per-tick op ledger), so the mutex is taken a handful of times
+/// per tick, not per op.
 #[derive(Clone, Default)]
 pub struct Telemetry {
     inner: Option<Arc<Mutex<Collector>>>,
-    rings: Option<Arc<ring::RingSet>>,
 }
-
-/// The shard the single serial producer (the simulator thread) pushes to.
-const MAIN_SHARD: usize = 0;
 
 /// One entry of a [`Telemetry::record_batch`] flush: the two hot-path
 /// metric kinds whose records are associative and therefore batchable.
@@ -132,17 +110,13 @@ impl Telemetry {
     /// A no-op handle: every recording call returns immediately without
     /// locking or allocating. This is the default for all simulations.
     pub fn disabled() -> Self {
-        Telemetry {
-            inner: None,
-            rings: None,
-        }
+        Telemetry { inner: None }
     }
 
     /// A live handle with an empty collector at tick 0.
     pub fn enabled() -> Self {
         Telemetry {
             inner: Some(Arc::new(Mutex::new(Collector::default()))),
-            rings: Some(Arc::new(ring::RingSet::new(1, ring::DEFAULT_RING_CAPACITY))),
         }
     }
 
@@ -157,92 +131,12 @@ impl Telemetry {
         inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
-    /// Locks the collector and drains the rings into it first, so the
-    /// caller observes (or stamps relative to) fully settled state.
-    fn lock_settled<'a>(&self, inner: &'a Arc<Mutex<Collector>>) -> MutexGuard<'a, Collector> {
-        let mut c = Self::lock(inner);
-        if let Some(rings) = &self.rings {
-            Self::drain_rings(rings, &mut c);
-        }
-        c
-    }
-
-    /// Drains every ring into the collector, coalescing records with equal
-    /// keys first. Coalescing is exact: counter deltas add associatively,
-    /// histogram `record_n(v, a + b)` is defined as bit-identical to
-    /// `record_n(v, a); record_n(v, b)`, and gauges (whose series order is
-    /// observable) are never merged — they apply immediately, in drain
-    /// order. This is what makes the ring a net win: a tick's worth of
-    /// per-op records collapses to a handful of registry walks.
-    fn drain_rings(rings: &ring::RingSet, c: &mut Collector) {
-        // (name, record) pending per key, in first-seen order.
-        let mut pending: Vec<(&'static str, ring::HotRecord)> = Vec::new();
-        rings.drain(|name, rec| match rec.kind {
-            ring::HotKind::Gauge => c.apply_hot(name, rec),
-            ring::HotKind::Counter => {
-                match pending.iter_mut().find(|(_, p)| {
-                    p.kind == ring::HotKind::Counter && p.name == rec.name && p.label == rec.label
-                }) {
-                    Some((_, p)) => p.value += rec.value,
-                    None => pending.push((name, rec)),
-                }
-            }
-            ring::HotKind::Histogram => {
-                match pending.iter_mut().find(|(_, p)| {
-                    p.kind == ring::HotKind::Histogram && p.name == rec.name && p.value == rec.value
-                }) {
-                    Some((_, p)) => p.count = p.count.saturating_add(rec.count),
-                    None => pending.push((name, rec)),
-                }
-            }
-        });
-        for (name, rec) in pending {
-            c.apply_hot(name, rec);
-        }
-    }
-
-    /// Routes one hot-path metric record through the ring; on overflow (or
-    /// name-table exhaustion) falls back to drain-then-apply under the
-    /// mutex, which preserves order exactly — backpressure, never loss.
+    /// Runs `f` on the locked collector; a disabled handle skips it.
     #[inline]
-    fn record_hot(
-        &self,
-        kind: ring::HotKind,
-        name: &'static str,
-        label: u32,
-        value: u64,
-        count: u64,
-    ) {
-        let Some(inner) = &self.inner else { return };
-        if let Some(rings) = &self.rings {
-            if rings.push(MAIN_SHARD, kind, name, label, value, count) {
-                return;
-            }
-            let mut c = Self::lock(inner);
-            Self::drain_rings(rings, &mut c);
-            c.apply_hot(
-                name,
-                ring::HotRecord {
-                    kind,
-                    name: 0,
-                    label,
-                    value,
-                    count,
-                },
-            );
-            return;
+    fn with(&self, f: impl FnOnce(&mut Collector)) {
+        if let Some(inner) = &self.inner {
+            f(&mut Self::lock(inner));
         }
-        let mut c = Self::lock(inner);
-        c.apply_hot(
-            name,
-            ring::HotRecord {
-                kind,
-                name: 0,
-                label,
-                value,
-                count,
-            },
-        );
     }
 
     /// Advances the clock and journals one event under a single lock —
@@ -251,7 +145,7 @@ impl Telemetry {
     /// of two.
     pub fn begin_tick(&self, tick: u64, make: impl FnOnce() -> Event) {
         let Some(inner) = &self.inner else { return };
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         if tick != c.clock {
             c.clock = tick;
             c.seq = 0;
@@ -266,17 +160,16 @@ impl Telemetry {
     }
 
     /// Applies a pre-coalesced batch of metric records under a single
-    /// lock, after draining the rings (so everything pushed earlier still
-    /// lands first). This is the tick-boundary flush path: a caller that
+    /// lock. This is the tick-boundary flush path: a caller that
     /// aggregated a tick's worth of hot records locally (see the
     /// simulator's per-tick op ledger) hands them over in one acquisition
-    /// instead of one ring round-trip per record. State afterwards is
+    /// instead of one per record. State afterwards is
     /// identical to recording each entry individually — counters and
     /// histograms are associative and the registry keys them in sorted
     /// maps, so batch order is unobservable.
     pub fn record_batch(&self, records: impl IntoIterator<Item = MetricRecord>) {
         let Some(inner) = &self.inner else { return };
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         for r in records {
             match r {
                 MetricRecord::Counter { name, label, delta } => {
@@ -294,9 +187,7 @@ impl Telemetry {
     /// with `tick`. Resets the intra-tick sequence counter.
     pub fn set_clock(&self, tick: u64) {
         let Some(inner) = &self.inner else { return };
-        // Drain before moving the clock: pending gauge records belong to
-        // the tick they were pushed in.
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         if tick != c.clock {
             c.clock = tick;
             c.seq = 0;
@@ -333,33 +224,36 @@ impl Telemetry {
     /// Adds `delta` to the counter `name` (label 0).
     #[inline]
     pub fn counter_add(&self, name: &'static str, delta: u64) {
-        self.record_hot(ring::HotKind::Counter, name, 0, delta, 0);
+        self.counter_add_labeled(name, 0, delta);
     }
 
     /// Adds `delta` to the counter `name` for one label (e.g. an MDS rank).
     #[inline]
     pub fn counter_add_labeled(&self, name: &'static str, label: u32, delta: u64) {
-        self.record_hot(ring::HotKind::Counter, name, label, delta, 0);
+        self.with(|c| c.metrics.counter_add(name, label, delta));
     }
 
     /// Current value of counter `name` summed over all labels (0 when the
     /// counter was never touched or the handle is disabled).
     pub fn counter_value(&self, name: &str) -> u64 {
         let Some(inner) = &self.inner else { return 0 };
-        self.lock_settled(inner).metrics.counter_total(name)
+        Self::lock(inner).metrics.counter_total(name)
     }
 
     /// Records one sample of the gauge `name` for `label` at the current
     /// clock, appending to that gauge's time series.
     #[inline]
     pub fn gauge_set(&self, name: &'static str, label: u32, value: f64) {
-        self.record_hot(ring::HotKind::Gauge, name, label, value.to_bits(), 0);
+        self.with(|c| {
+            let tick = c.clock;
+            c.metrics.gauge_set(name, label, tick, value);
+        });
     }
 
     /// Records `value` into the fixed-bucket histogram `name`.
     #[inline]
     pub fn histogram_record(&self, name: &'static str, value: u64) {
-        self.record_hot(ring::HotKind::Histogram, name, 0, value, 1);
+        self.histogram_record_n(name, value, 1);
     }
 
     /// Records `value` into the fixed-bucket histogram `name`, `n` times,
@@ -369,7 +263,7 @@ impl Telemetry {
         if n == 0 {
             return;
         }
-        self.record_hot(ring::HotKind::Histogram, name, 0, value, n);
+        self.with(|c| c.metrics.histogram_record_n(name, value, n));
     }
 
     /// Number of journal events whose [`Event::kind`] equals `kind`.
@@ -420,8 +314,7 @@ impl Telemetry {
     /// `seq = 0`. No-op on a disabled handle.
     pub fn restore_clock_position(&self, clock: u64, seq: u64) {
         let Some(inner) = &self.inner else { return };
-        // As in `set_clock`: settle pending records under the old clock.
-        let mut c = self.lock_settled(inner);
+        let mut c = Self::lock(inner);
         c.clock = clock;
         c.seq = seq;
     }
@@ -429,7 +322,7 @@ impl Telemetry {
     /// A deep copy of everything collected so far (`None` when disabled).
     pub fn snapshot(&self) -> Option<Snapshot> {
         let inner = self.inner.as_ref()?;
-        let c = self.lock_settled(inner);
+        let c = Self::lock(inner);
         Some(Snapshot {
             events: c.events.clone(),
             metrics: c.metrics.clone(),
@@ -486,89 +379,6 @@ impl Drop for Span {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    /// Overflowing the ring's fixed capacity must spill to the direct
-    /// mutex path without dropping or reordering anything: every counter
-    /// delta accounted for, histogram totals exact, and the gauge series —
-    /// the one hot-path stream whose *order* is observable — monotone in
-    /// push order with every sample present, across repeated
-    /// overflow/drain cycles.
-    #[test]
-    fn ring_overflow_backpressure_never_drops_or_reorders() {
-        let t = Telemetry::enabled();
-        let n = u64::try_from(3 * ring::DEFAULT_RING_CAPACITY + 17).unwrap();
-        for i in 0..n {
-            t.counter_add("bp.counter", 1);
-            t.histogram_record("bp.hist", i % 7);
-            #[allow(clippy::cast_precision_loss)]
-            t.gauge_set("bp.gauge", 0, i as f64);
-        }
-        let snap = t.snapshot().unwrap();
-        assert_eq!(snap.metrics.counter_get("bp.counter", 0), n);
-        let h = snap.metrics.histogram("bp.hist").unwrap();
-        assert_eq!(h.count(), n);
-        let series: Vec<(u64, f64)> = snap
-            .metrics
-            .gauges()
-            .find(|(n, l, _)| *n == "bp.gauge" && *l == 0)
-            .map(|(_, _, s)| s.to_vec())
-            .unwrap();
-        assert_eq!(
-            series.len(),
-            usize::try_from(n).unwrap(),
-            "no gauge dropped"
-        );
-        for (i, (tick, v)) in series.iter().enumerate() {
-            assert_eq!(*tick, 0);
-            #[allow(clippy::cast_precision_loss)]
-            let want = i as f64;
-            assert_eq!(*v, want, "gauge series out of order at {i}");
-        }
-        // A second burst after the drain reuses the same rings.
-        t.set_clock(1);
-        for i in 0..n {
-            #[allow(clippy::cast_precision_loss)]
-            t.gauge_set("bp.gauge", 0, (n + i) as f64);
-        }
-        let snap2 = t.snapshot().unwrap();
-        let series2: Vec<(u64, f64)> = snap2
-            .metrics
-            .gauges()
-            .find(|(n, l, _)| *n == "bp.gauge" && *l == 0)
-            .map(|(_, _, s)| s.to_vec())
-            .unwrap();
-        assert_eq!(series2.len(), 2 * usize::try_from(n).unwrap());
-        assert!(series2[usize::try_from(n).unwrap()..]
-            .iter()
-            .all(|(tick, _)| *tick == 1));
-    }
-
-    /// The ring path must be observationally identical to the pre-ring
-    /// direct path: a handle whose rings are disabled (forcing every call
-    /// through the mutex fallback) collects exactly the same registry.
-    #[test]
-    fn ring_and_direct_paths_collect_identical_registries() {
-        let ringed = Telemetry::enabled();
-        let direct = Telemetry {
-            inner: Some(Arc::new(Mutex::new(Collector::default()))),
-            rings: None,
-        };
-        for t in [&ringed, &direct] {
-            for tick in 0..5u64 {
-                t.set_clock(tick);
-                for i in 0..50u64 {
-                    t.counter_add_labeled("eq.ops", u32::try_from(i % 3).unwrap(), 1);
-                    t.histogram_record("eq.stall", i % 4);
-                    t.gauge_set("eq.load", 1, 0.5);
-                }
-                t.histogram_record_n("eq.stall", 2, 9);
-            }
-        }
-        let a = ringed.snapshot().unwrap();
-        let b = direct.snapshot().unwrap();
-        assert_eq!(a.metrics, b.metrics);
-        assert_eq!(a.last_tick, b.last_tick);
-    }
 
     #[test]
     fn disabled_handle_records_nothing() {
